@@ -1,18 +1,19 @@
 //! Restart (crash-recovery) wall-clock benchmark: how long does the
-//! server take to come back after a crash, and how much does the parallel
-//! restart engine (`RestartConfig::redo_workers`) buy?
+//! server take to come back after a crash, and how much do the restart
+//! engine's worker threads (`RestartConfig::redo_workers`) buy?
 //!
 //! For each recovery scheme (PD-ESM, PD-REDO, WPL): bulk-load a scaled
 //! OO7 database, run committed T2 update traversals until the log holds a
 //! target volume of recovery work, crash (dropping every piece of
 //! volatile state), then repeatedly restart from the same frozen media
 //! images with `redo_workers` ∈ {1, 2, 4, 8}, timing each restart
-//! end-to-end with a wall clock. `redo_workers = 1` runs the original
-//! serial recovery code, so the `workers_1` row *is* the pre-existing
-//! baseline, measured in the same binary.
+//! end-to-end with a wall clock. There is one restart engine:
+//! `redo_workers = 1` (the default) runs it inline on the restarting
+//! thread with no threads spawned, so the `workers_1` row is the default
+//! restart and the baseline the threaded rows are compared with.
 //!
 //! Every restart's per-phase work counts are asserted identical to the
-//! serial run — the speedup must come with identical recovery (the full
+//! first run's — threads must come with identical recovery (the full
 //! bit-equivalence check lives in `tests/restart_equivalence.rs`).
 //!
 //! Results are written to `BENCH_restart.json` in the same shape as
@@ -35,7 +36,7 @@ use quickstore::{Store, SystemConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Worker counts timed for every scheme. 1 is the serial engine.
+/// Worker counts timed for every scheme. 1 runs inline (no threads).
 const WORKER_COUNTS: &[usize] = &[1, 2, 4, 8];
 
 /// OO7 scaled for restart benchmarking: one module, big enough that T2

@@ -1,25 +1,28 @@
-//! ARIES-style restart for the ESM and REDO flavors ([Frank92]'s
-//! client-server adaptation of [Mohan92]): analysis from the most recent
-//! checkpoint, redo of all logged work, undo of loser transactions with
-//! CLRs. Page-level locking only, exactly like ESM.
+//! ARIES-style restart bookkeeping for the ESM and REDO flavors
+//! ([Frank92]'s client-server adaptation of [Mohan92]) and for the
+//! `RedoLogical` and `Adaptive` flavors: what each analysis pass learns
+//! from the log, and the undo pass and epilogues that close a restart.
+//! Page-level locking only, exactly like ESM.
 //!
-//! Because the diffing schemes log *after-images* (not operation deltas),
-//! redo is naturally idempotent; the pageLSN test merely avoids wasted
-//! work. Whole-page records (ESM's treatment of newly created pages) redo
-//! by image replacement.
-//!
-//! This module is the serial engine; `restart_par` runs the same
-//! algorithm with streamed log reads and page-partitioned redo workers
-//! when `RestartConfig::redo_workers > 1`, sharing [`Analysis`],
-//! [`apply_redo`], and [`undo_and_finish`] so the two paths cannot drift.
+//! The restart engine in `restart_par` drives these: it streams the log,
+//! verifies every frame before trusting its fields, and feeds the verified
+//! frame fields to the types here.
 
 use crate::server::Server;
 use crate::txn::TxnTable;
-use qs_storage::Page;
 use qs_trace::PhaseStat;
-use qs_types::{Lsn, PageId, QsResult, TxnId, PAGE_SIZE};
+use qs_types::{Lsn, PageId, QsResult, TxnId};
 use qs_wal::{LogReadCache, LogRecord};
 use std::collections::HashMap;
+
+/// Raise `max` to `txn` (ignoring `TxnId::INVALID`, which is also the
+/// "none seen yet" start value): id assignment resumes above the highest
+/// transaction id restart saw.
+pub(crate) fn newer_txn(max: &mut TxnId, txn: TxnId) {
+    if txn != TxnId::INVALID && (*max == TxnId::INVALID || txn.0 > max.0) {
+        *max = txn;
+    }
+}
 
 /// What analysis learned from the log.
 #[derive(Debug, Default)]
@@ -34,155 +37,33 @@ pub(crate) struct Analysis {
     pub(crate) max_alloc: u64,
 }
 
-/// Apply one redoable record to a page image and stamp the pageLSN.
-/// Shared by the serial redo loop and the parallel redo workers.
-pub(crate) fn apply_redo(page: &mut Page, pid: PageId, rec: &LogRecord, lsn: Lsn) -> QsResult<()> {
-    match rec {
-        LogRecord::Update { slot, offset, after, .. }
-        | LogRecord::Clr { slot, offset, after, .. }
-        | LogRecord::UpdateLogical { slot, offset, after, .. } => {
-            let obj = page.object_mut(pid, *slot)?;
-            let off = *offset as usize;
-            obj[off..off + after.len()].copy_from_slice(after);
-        }
-        LogRecord::WholePage { image, .. } => {
-            *page = Page::from_bytes(image)?;
-        }
-        _ => {}
-    }
-    page.set_lsn(lsn);
-    Ok(())
-}
-
-/// Run restart recovery. Called by [`Server::restart`] with a freshly
-/// opened volume and log. Returns raw (unpriced) per-phase work counts
-/// (analysis / redo / undo) for the restart report.
-pub fn restart(server: &Server) -> QsResult<Vec<PhaseStat>> {
-    let mut ph_analysis = PhaseStat { name: "analysis", ..PhaseStat::default() };
-    let mut ph_redo = PhaseStat { name: "redo", ..PhaseStat::default() };
-    let mut ph_undo = PhaseStat { name: "undo", ..PhaseStat::default() };
-
-    let analysis = server.with_quiesced(|inner| -> QsResult<Analysis> {
-        let ck = inner.log.checkpoint_lsn();
-        let scan_from = if ck.is_null() { inner.log.start_lsn() } else { ck };
-        ph_analysis.pages_read =
-            inner.log.tail_lsn().0.saturating_sub(scan_from.0).div_ceil(PAGE_SIZE as u64);
-
-        let mut a = Analysis { max_txn: TxnId::INVALID, ..Analysis::default() };
-
-        // Seed from the checkpoint record (sharp checkpoints leave the DPT
-        // empty, but the code stays general).
-        if !ck.is_null() {
-            // The anchor is a sharp `Checkpoint` (quiesced path) or the
-            // `BeginCheckpoint` of a completed fuzzy pair — the header only
-            // advances once the matching end record is durable, so an
-            // orphaned begin is never the anchor.
-            let body = match inner.log.read_record(ck)?.0 {
-                LogRecord::Checkpoint { body } | LogRecord::BeginCheckpoint { body } => body,
+impl Analysis {
+    /// Observe one verified frame of the forward analysis scan: track the
+    /// highest transaction id, keep each transaction's last LSN until its
+    /// commit or abort, and enter every page into the DPT at its first
+    /// LSN.
+    pub(crate) fn observe(&mut self, lsn: Lsn, tag: u8, txn: TxnId, page: Option<PageId>) {
+        if txn != TxnId::INVALID {
+            newer_txn(&mut self.max_txn, txn);
+            match tag {
+                qs_wal::record::tag::COMMIT | qs_wal::record::tag::ABORT => {
+                    self.att.remove(&txn);
+                }
                 _ => {
-                    return Err(qs_types::QsError::RecoveryFailed {
-                        detail: format!("no checkpoint record at {ck}"),
-                    });
+                    self.att.insert(txn, lsn);
                 }
-            };
-            for (t, l) in body.active_txns {
-                a.att.insert(t, l);
-            }
-            for (p, l) in body.dirty_pages {
-                a.dpt.insert(p, l);
-            }
-            a.max_alloc = body.allocated_pages;
-        }
-
-        // Forward analysis pass.
-        for item in inner.log.scan_forward(scan_from) {
-            let (lsn, rec) = item?;
-            ph_analysis.records += 1;
-            let txn = rec.txn();
-            if txn != TxnId::INVALID {
-                if a.max_txn == TxnId::INVALID || txn.0 > a.max_txn.0 {
-                    a.max_txn = txn;
-                }
-                match &rec {
-                    LogRecord::Commit { .. } | LogRecord::Abort { .. } => {
-                        a.att.remove(&txn);
-                    }
-                    _ => {
-                        a.att.insert(txn, lsn);
-                    }
-                }
-            }
-            if let Some(page) = rec.page() {
-                a.dpt.entry(page).or_insert(lsn);
-                a.max_alloc = a.max_alloc.max(page.0 as u64 + 1);
-            }
-            if let LogRecord::PageAlloc { page, .. } = rec {
-                a.max_alloc = a.max_alloc.max(page.0 as u64 + 1);
             }
         }
-        inner.volume.ensure_allocated(a.max_alloc as usize)?;
-        Ok(a)
-    })?;
-
-    // Redo pass: repeat history from the earliest recovery LSN.
-    server.with_quiesced(|inner| -> QsResult<()> {
-        let Some(&redo_from) = analysis.dpt.values().min() else {
-            return Ok(());
-        };
-        // A fuzzy begin-checkpoint body can carry recLSNs that predate the
-        // truncated log start (their pages were flushed by the drain, which
-        // is what allowed truncation); those updates are on disk and the
-        // pageLSN test would skip them anyway, so clamp the scan.
-        let redo_from = redo_from.max(inner.log.start_lsn());
-        ph_redo.pages_read =
-            inner.log.tail_lsn().0.saturating_sub(redo_from.0).div_ceil(PAGE_SIZE as u64);
-        let mut resident: HashMap<PageId, Page> = HashMap::new();
-        for item in inner.log.scan_forward(redo_from) {
-            let (lsn, rec) = item?;
-            let Some(pid) = rec.page() else { continue };
-            let Some(&rec_lsn) = analysis.dpt.get(&pid) else { continue };
-            if lsn < rec_lsn {
-                continue;
-            }
-            let page = match resident.entry(pid) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    ph_redo.data_reads += 1;
-                    e.insert(inner.volume.read_page(pid)?)
-                }
-            };
-            if page.lsn() >= lsn {
-                continue; // effect already on disk image
-            }
-            ph_redo.records += 1;
-            apply_redo(page, pid, &rec, lsn)?;
+        if let Some(page) = page {
+            self.dpt.entry(page).or_insert(lsn);
+            self.max_alloc = self.max_alloc.max(page.0 as u64 + 1);
         }
-        // Install redone pages into the pool as dirty so undo sees them and
-        // the post-restart checkpoint flushes them.
-        for (pid, page) in resident {
-            let ev = inner.pool.insert(pid, page, true)?;
-            if let Some(ev) = ev {
-                // Restart pools are sized like production pools; eviction
-                // during redo writes through (WAL is satisfied: everything
-                // in the durable log already).
-                if ev.dirty {
-                    inner.volume.write_page(ev.page_id, &ev.page)?;
-                    ph_redo.data_writes += 1;
-                }
-            }
-            inner.dpt.insert(pid, redo_from);
-        }
-        Ok(())
-    })?;
-
-    undo_and_finish(server, analysis.att, analysis.max_txn, &mut ph_undo)?;
-    Ok(vec![ph_analysis, ph_redo, ph_undo])
+    }
 }
 
 /// What a `RedoLogical` analysis pass learned from the log: the
 /// committed-transactions set (only their records replay), the merged
-/// dirty-page table, and the id high-water marks. Shared by the serial
-/// and parallel engines.
+/// dirty-page table, and the id high-water marks.
 #[derive(Debug, Default)]
 pub(crate) struct RlogAnalysis {
     pub(crate) committed: std::collections::HashSet<TxnId>,
@@ -191,120 +72,16 @@ pub(crate) struct RlogAnalysis {
     pub(crate) max_alloc: u64,
 }
 
-impl RlogAnalysis {
-    pub(crate) fn note_txn(&mut self, txn: TxnId) {
-        if txn != TxnId::INVALID && (self.max_txn == TxnId::INVALID || txn.0 > self.max_txn.0) {
-            self.max_txn = txn;
+/// Merge one committed transaction's page → first-LSN map into a DPT,
+/// keeping the earliest recovery LSN per page (the rule for logically
+/// logged transactions, whose pages enter the DPT only at commit).
+pub(crate) fn merge_committed(dpt: &mut HashMap<PageId, Lsn>, pages: HashMap<PageId, Lsn>) {
+    for (p, l) in pages {
+        let e = dpt.entry(p).or_insert(l);
+        if l < *e {
+            *e = l;
         }
     }
-
-    /// Merge one committed transaction's page → first-LSN map into the
-    /// global DPT, keeping the earliest recovery LSN per page.
-    pub(crate) fn merge_committed(&mut self, pages: HashMap<PageId, Lsn>) {
-        for (p, l) in pages {
-            let e = self.dpt.entry(p).or_insert(l);
-            if l < *e {
-                *e = l;
-            }
-        }
-    }
-}
-
-/// REDO-only restart for the `RedoLogical` flavor: analysis over the whole
-/// retained log (fuzzy checkpoints mean committed work may precede the
-/// checkpoint; the truncation rule `keep = min(ck, min active first-LSN,
-/// min DPT recLSN)` guarantees the retained log covers everything
-/// unapplied), then a forward redo of *committed* transactions' logical
-/// records. No-steal means no uncommitted data ever reached the volume, so
-/// there is no undo phase at all — losers are simply never replayed.
-pub fn rlog_restart(server: &Server) -> QsResult<Vec<PhaseStat>> {
-    let mut ph_analysis = PhaseStat { name: "analysis", ..PhaseStat::default() };
-    let mut ph_redo = PhaseStat { name: "redo", ..PhaseStat::default() };
-
-    let analysis = server.with_quiesced(|inner| -> QsResult<RlogAnalysis> {
-        let scan_from = inner.log.start_lsn();
-        ph_analysis.pages_read =
-            inner.log.tail_lsn().0.saturating_sub(scan_from.0).div_ceil(PAGE_SIZE as u64);
-
-        let mut a = RlogAnalysis { max_txn: TxnId::INVALID, ..RlogAnalysis::default() };
-        // Loser candidates: txn → page → first LSN, merged into the DPT
-        // only if the commit record shows up.
-        let mut pending: HashMap<TxnId, HashMap<PageId, Lsn>> = HashMap::new();
-        for item in inner.log.scan_forward(scan_from) {
-            let (lsn, rec) = item?;
-            ph_analysis.records += 1;
-            a.note_txn(rec.txn());
-            match &rec {
-                LogRecord::Commit { txn, .. } => {
-                    a.committed.insert(*txn);
-                    if let Some(pages) = pending.remove(txn) {
-                        a.merge_committed(pages);
-                    }
-                }
-                LogRecord::Abort { txn, .. } => {
-                    pending.remove(txn);
-                }
-                LogRecord::Checkpoint { body } | LogRecord::BeginCheckpoint { body } => {
-                    a.max_alloc = a.max_alloc.max(body.allocated_pages);
-                }
-                _ => {
-                    if let Some(page) = rec.page() {
-                        pending.entry(rec.txn()).or_default().entry(page).or_insert(lsn);
-                        a.max_alloc = a.max_alloc.max(page.0 as u64 + 1);
-                    }
-                }
-            }
-        }
-        inner.volume.ensure_allocated(a.max_alloc as usize)?;
-        Ok(a)
-    })?;
-
-    // Redo pass: repeat committed history only.
-    server.with_quiesced(|inner| -> QsResult<()> {
-        let Some(&redo_from) = analysis.dpt.values().min() else {
-            return Ok(());
-        };
-        ph_redo.pages_read =
-            inner.log.tail_lsn().0.saturating_sub(redo_from.0).div_ceil(PAGE_SIZE as u64);
-        let mut resident: HashMap<PageId, Page> = HashMap::new();
-        for item in inner.log.scan_forward(redo_from) {
-            let (lsn, rec) = item?;
-            let Some(pid) = rec.page() else { continue };
-            if !analysis.committed.contains(&rec.txn()) {
-                continue;
-            }
-            let Some(&rec_lsn) = analysis.dpt.get(&pid) else { continue };
-            if lsn < rec_lsn {
-                continue;
-            }
-            let page = match resident.entry(pid) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    ph_redo.data_reads += 1;
-                    e.insert(inner.volume.read_page(pid)?)
-                }
-            };
-            if page.lsn() >= lsn {
-                continue; // effect already on disk image
-            }
-            ph_redo.records += 1;
-            apply_redo(page, pid, &rec, lsn)?;
-        }
-        for (pid, page) in resident {
-            let ev = inner.pool.insert(pid, page, true)?;
-            if let Some(ev) = ev {
-                if ev.dirty {
-                    inner.volume.write_page(ev.page_id, &ev.page)?;
-                    ph_redo.data_writes += 1;
-                }
-            }
-            inner.dpt.insert(pid, redo_from);
-        }
-        Ok(())
-    })?;
-
-    rlog_finish(server, analysis.max_txn)?;
-    Ok(vec![ph_analysis, ph_redo])
 }
 
 /// What an `Adaptive` analysis pass learned from the log. A mixed-scheme
@@ -312,14 +89,13 @@ pub fn rlog_restart(server: &Server) -> QsResult<Vec<PhaseStat>> {
 /// after-image updates, stolen pages, CLR undo) and logically-logged ones
 /// (WPL/RLOG elections: deferred-apply, no-steal, REDO-only) side by side;
 /// each transaction's `TxnScheme` record — always the first record of its
-/// chain — says which rules apply. Shared by the serial and parallel
-/// engines so the two classifications cannot drift.
+/// chain — says which rules apply.
 ///
 /// Truncation keeps `min(checkpoint, min active first-LSN)`, so every
 /// *active* transaction's chain is retained whole, `TxnScheme` included: a
 /// transaction whose scheme record is missing (truncated) is provably
 /// committed, and treating it as physical (DPT path) is correct for
-/// committed work — `apply_redo` replays `UpdateLogical` records too, and
+/// committed work — redo replays `UpdateLogical` records too, and
 /// the pageLSN test skips whatever the pre-crash apply already flushed.
 #[derive(Debug, Default)]
 pub(crate) struct AdaptiveAnalysis {
@@ -338,12 +114,6 @@ pub(crate) struct AdaptiveAnalysis {
 }
 
 impl AdaptiveAnalysis {
-    pub(crate) fn note_txn(&mut self, txn: TxnId) {
-        if txn != TxnId::INVALID && (self.max_txn == TxnId::INVALID || txn.0 > self.max_txn.0) {
-            self.max_txn = txn;
-        }
-    }
-
     /// Did `txn` elect a logical (deferred-apply, no-steal) scheme?
     pub(crate) fn is_logical(&self, txn: TxnId) -> bool {
         self.scheme.get(&txn).map(|s| s.is_logical()).unwrap_or(false)
@@ -357,10 +127,9 @@ impl AdaptiveAnalysis {
         self.is_logical(txn) && !self.committed.contains(&txn)
     }
 
-    /// Observe one record of the forward analysis scan, given the facts
-    /// both engines can supply (the serial one from a decoded `LogRecord`,
-    /// the parallel one from frame accessors). Checkpoint-body handling
-    /// (`max_alloc`) stays with the caller.
+    /// Observe one verified frame of the forward analysis scan, given its
+    /// header fields. Checkpoint-body handling (`max_alloc`) stays with
+    /// the caller.
     pub(crate) fn observe(
         &mut self,
         lsn: Lsn,
@@ -369,7 +138,7 @@ impl AdaptiveAnalysis {
         page: Option<PageId>,
         scheme: Option<qs_wal::SchemeCode>,
     ) {
-        self.note_txn(txn);
+        newer_txn(&mut self.max_txn, txn);
         match tag {
             qs_wal::record::tag::TXN_SCHEME => {
                 if let Some(s) = scheme {
@@ -381,12 +150,7 @@ impl AdaptiveAnalysis {
                 self.committed.insert(txn);
                 self.att.remove(&txn);
                 if let Some(pages) = self.pending.remove(&txn) {
-                    for (p, l) in pages {
-                        let e = self.dpt.entry(p).or_insert(l);
-                        if l < *e {
-                            *e = l;
-                        }
-                    }
+                    merge_committed(&mut self.dpt, pages);
                 }
             }
             qs_wal::record::tag::ABORT => {
@@ -410,103 +174,8 @@ impl AdaptiveAnalysis {
     }
 }
 
-/// Mixed-scheme restart for the `Adaptive` flavor: one forward analysis
-/// pass over the whole retained log classifies every transaction via its
-/// `TxnScheme` record, redo repeats history with the pageLSN test while
-/// skipping logically-elected losers, and undo rolls back only the
-/// physically-elected losers (logical losers never reached shared state —
-/// same no-steal argument as `rlog_restart`).
-pub fn adaptive_restart(server: &Server) -> QsResult<Vec<PhaseStat>> {
-    let mut ph_analysis = PhaseStat { name: "analysis", ..PhaseStat::default() };
-    let mut ph_redo = PhaseStat { name: "redo", ..PhaseStat::default() };
-    let mut ph_undo = PhaseStat { name: "undo", ..PhaseStat::default() };
-
-    let analysis = server.with_quiesced(|inner| -> QsResult<AdaptiveAnalysis> {
-        let scan_from = inner.log.start_lsn();
-        ph_analysis.pages_read =
-            inner.log.tail_lsn().0.saturating_sub(scan_from.0).div_ceil(PAGE_SIZE as u64);
-
-        let mut a = AdaptiveAnalysis { max_txn: TxnId::INVALID, ..AdaptiveAnalysis::default() };
-        for item in inner.log.scan_forward(scan_from) {
-            let (lsn, rec) = item?;
-            ph_analysis.records += 1;
-            match &rec {
-                LogRecord::Checkpoint { body } | LogRecord::BeginCheckpoint { body } => {
-                    a.max_alloc = a.max_alloc.max(body.allocated_pages);
-                }
-                _ => {
-                    let scheme = match &rec {
-                        LogRecord::TxnScheme { scheme, .. } => Some(*scheme),
-                        _ => None,
-                    };
-                    a.observe(lsn, rec.tag(), rec.txn(), rec.page(), scheme);
-                }
-            }
-        }
-        inner.volume.ensure_allocated(a.max_alloc as usize)?;
-        Ok(a)
-    })?;
-
-    // Redo pass: repeat history, minus logically-elected losers.
-    server.with_quiesced(|inner| -> QsResult<()> {
-        let Some(&redo_from) = analysis.dpt.values().min() else {
-            return Ok(());
-        };
-        let redo_from = redo_from.max(inner.log.start_lsn());
-        ph_redo.pages_read =
-            inner.log.tail_lsn().0.saturating_sub(redo_from.0).div_ceil(PAGE_SIZE as u64);
-        let mut resident: HashMap<PageId, Page> = HashMap::new();
-        for item in inner.log.scan_forward(redo_from) {
-            let (lsn, rec) = item?;
-            let Some(pid) = rec.page() else { continue };
-            if analysis.redo_skips(rec.txn()) {
-                continue;
-            }
-            let Some(&rec_lsn) = analysis.dpt.get(&pid) else { continue };
-            if lsn < rec_lsn {
-                continue;
-            }
-            let page = match resident.entry(pid) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    ph_redo.data_reads += 1;
-                    e.insert(inner.volume.read_page(pid)?)
-                }
-            };
-            if page.lsn() >= lsn {
-                continue; // effect already on disk image
-            }
-            ph_redo.records += 1;
-            apply_redo(page, pid, &rec, lsn)?;
-        }
-        for (pid, page) in resident {
-            let ev = inner.pool.insert(pid, page, true)?;
-            if let Some(ev) = ev {
-                if ev.dirty {
-                    inner.volume.write_page(ev.page_id, &ev.page)?;
-                    ph_redo.data_writes += 1;
-                }
-            }
-            inner.dpt.insert(pid, redo_from);
-        }
-        Ok(())
-    })?;
-
-    // Undo only the physically-elected losers; logical losers are dropped
-    // (their deferred ops died with the crash).
-    let physical_losers: HashMap<TxnId, Lsn> = analysis
-        .att
-        .iter()
-        .filter(|(t, _)| !analysis.is_logical(**t))
-        .map(|(t, l)| (*t, *l))
-        .collect();
-    undo_and_finish(server, physical_losers, analysis.max_txn, &mut ph_undo)?;
-    Ok(vec![ph_analysis, ph_redo, ph_undo])
-}
-
-/// Restart epilogue shared by the serial and parallel `RedoLogical`
-/// engines: resume txn-id assignment, make the recovered state durable
-/// and truncate the log. No undo — there are no losers to roll back.
+/// `RedoLogical` restart epilogue: resume txn-id assignment, make the
+/// recovered state durable and truncate the log. No undo — there are no losers to roll back.
 pub(crate) fn rlog_finish(server: &Server, max_txn: TxnId) -> QsResult<()> {
     server.with_quiesced(|inner| {
         *inner.txns = TxnTable::resuming_after(max_txn);
@@ -514,8 +183,8 @@ pub(crate) fn rlog_finish(server: &Server, max_txn: TxnId) -> QsResult<()> {
     server.checkpoint()
 }
 
-/// Undo pass plus restart epilogue, shared by the serial and parallel
-/// engines: roll back losers with CLRs, resume txn-id assignment, make the
+/// Undo pass plus restart epilogue of the ARIES and `Adaptive` restarts:
+/// roll back losers with CLRs, resume txn-id assignment, make the
 /// recovered state durable and truncate the log.
 pub(crate) fn undo_and_finish(
     server: &Server,

@@ -8,9 +8,10 @@
 //!   records *before* the pages they describe (the log-before-page rule).
 //! * The server manages a circular log (via `qs-wal`), hierarchical
 //!   page/record locks ([`lock::LockManager`]), a STEAL/NO-FORCE buffer
-//!   pool, and restart
-//!   recovery — ARIES-style for the ESM/REDO flavors ([`aries`]),
-//!   backward-scan reconstruction for whole-page logging ([`wpl`]).
+//!   pool, and restart recovery — ARIES-style for the ESM/REDO flavors
+//!   ([`aries`]), WPL-table reconstruction for whole-page logging
+//!   ([`wpl`]) — all run by one streamed restart engine
+//!   ([`restart_par`]).
 //! * Three server flavors ([`RecoveryFlavor`]) correspond to the paper's
 //!   underlying recovery strategies: `EsmAries` (log records + dirty pages
 //!   shipped), `RedoAtServer` (log records only; server applies redo), and

@@ -252,8 +252,13 @@ impl Shared {
     /// Admission control + enqueue. Every submission gets exactly one
     /// reply: `Overloaded` when shed, the request's reply otherwise.
     fn submit(&self, client: ClientId, req: Request) {
-        let inflight = self.inflight.load(Ordering::Acquire);
-        if inflight >= self.cfg.inflight_budget {
+        // Claim a slot in one atomic step, so concurrent submitters can
+        // never both pass a check against the same free slot.
+        let budget = self.cfg.inflight_budget;
+        let claimed = self
+            .inflight
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| (n < budget).then_some(n + 1));
+        if let Err(inflight) = claimed {
             self.stats.shed_budget.fetch_add(1, Ordering::Relaxed);
             self.server.tracer().event(TraceCat::Shed, "budget", client.0 as u64, inflight as u64);
             self.post(client, Response::Overloaded);
@@ -262,12 +267,12 @@ impl Shared {
         let w = route(&req, client, self.workers.len());
         let depth = self.workers[w].depth.load(Ordering::Acquire);
         if depth >= self.cfg.queue_depth_max {
+            self.inflight.fetch_sub(1, Ordering::AcqRel);
             self.stats.shed_queue.fetch_add(1, Ordering::Relaxed);
             self.server.tracer().event(TraceCat::Shed, "queue", client.0 as u64, depth as u64);
             self.post(client, Response::Overloaded);
             return;
         }
-        self.inflight.fetch_add(1, Ordering::AcqRel);
         self.stats.admitted.fetch_add(1, Ordering::Relaxed);
         let d = self.workers[w].depth.fetch_add(1, Ordering::AcqRel) + 1;
         let tracer = self.server.tracer();
@@ -284,10 +289,12 @@ impl Shared {
         }
     }
 
-    /// Deliver the reply for an admitted request and release its slot.
+    /// Release an admitted request's slot, then deliver its reply. In that
+    /// order: a closed-loop client submits its next request as soon as the
+    /// reply lands, and must find its own slot already free.
     fn finish(&self, client: ClientId, resp: Response) {
-        self.post(client, resp);
         self.inflight.fetch_sub(1, Ordering::AcqRel);
+        self.post(client, resp);
     }
 
     /// Deliver a reply without touching the admission budget (sheds, and

@@ -353,34 +353,6 @@ impl LogManager {
         Ok((LogRecord::decode(&bytes)?, next))
     }
 
-    /// Read the record that *ends* at `end` (backward scan step). Returns
-    /// the record and its starting LSN.
-    pub fn read_record_ending_at(&self, end: Lsn) -> QsResult<(LogRecord, Lsn)> {
-        let st = self.state.lock();
-        if end <= st.start || end > st.tail {
-            return Err(QsError::LogCorrupt {
-                detail: format!("backward read at {end} outside log window"),
-            });
-        }
-        let trailer_lsn = Lsn(end.0 - 4);
-        let len = if trailer_lsn >= st.durable {
-            let at = (trailer_lsn.0 - st.durable.0) as usize;
-            u32::from_le_bytes(st.buffer[at..at + 4].try_into().unwrap()) as usize
-        } else {
-            let mut b = [0u8; 4];
-            self.read_body(trailer_lsn, &mut b)?;
-            u32::from_le_bytes(b) as usize
-        };
-        drop(st);
-        if len < 8 || (len as u64) > end.0 {
-            return Err(QsError::LogCorrupt { detail: format!("implausible trailer {len}") });
-        }
-        let start = Lsn(end.0 - len as u64);
-        let (rec, next) = self.read_record(start)?;
-        debug_assert_eq!(next, end);
-        Ok((rec, start))
-    }
-
     /// Copy the raw encoded bytes of the span `[from, from + buf.len())`
     /// out of the log, splicing the durable body and the volatile tail
     /// buffer as needed. One lock acquisition regardless of span size —
@@ -503,39 +475,6 @@ impl LogManager {
 
     pub fn body_capacity(&self) -> usize {
         self.body_capacity
-    }
-
-    /// Forward scan of the durable+buffered log from `from` (inclusive) to
-    /// the tail, yielding `(lsn, record)`.
-    pub fn scan_forward(&self, from: Lsn) -> LogScan<'_> {
-        LogScan { log: self, at: from.max(self.start_lsn()) }
-    }
-}
-
-/// Iterator for [`LogManager::scan_forward`].
-pub struct LogScan<'a> {
-    log: &'a LogManager,
-    at: Lsn,
-}
-
-impl Iterator for LogScan<'_> {
-    type Item = QsResult<(Lsn, LogRecord)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.at >= self.log.tail_lsn() {
-            return None;
-        }
-        match self.log.read_record(self.at) {
-            Ok((rec, next)) => {
-                let lsn = self.at;
-                self.at = next;
-                Some(Ok((lsn, rec)))
-            }
-            Err(e) => {
-                self.at = self.log.tail_lsn(); // stop after an error
-                Some(Err(e))
-            }
-        }
     }
 }
 
@@ -692,29 +631,20 @@ mod tests {
     }
 
     #[test]
-    fn backward_read() {
-        let (_m, lm) = fresh(1 << 16);
-        let l1 = lm.append(&update(1, 5, 1)).unwrap();
-        let l2 = lm.append(&update(1, 6, 2)).unwrap();
-        let end = lm.tail_lsn();
-        let (rec2, s2) = lm.read_record_ending_at(end).unwrap();
-        assert_eq!(s2, l2);
-        assert_eq!(rec2.page(), Some(PageId(6)));
-        let (rec1, s1) = lm.read_record_ending_at(s2).unwrap();
-        assert_eq!(s1, l1);
-        assert_eq!(rec1.page(), Some(PageId(5)));
-        assert!(lm.read_record_ending_at(s1).is_err()); // hit the start
-    }
-
-    #[test]
     fn forward_scan_yields_all_records_in_order() {
         let (_m, lm) = fresh(1 << 16);
         for i in 0..20u32 {
             lm.append(&update(1, i, 0)).unwrap();
         }
         lm.force(lm.tail_lsn()).unwrap();
-        let pages: Vec<u32> =
-            lm.scan_forward(Lsn(0)).map(|r| r.unwrap().1.page().unwrap().0).collect();
+        // Walk the log by the next-LSN each read returns.
+        let mut pages = Vec::new();
+        let mut at = lm.start_lsn();
+        while at < lm.tail_lsn() {
+            let (rec, next) = lm.read_record(at).unwrap();
+            pages.push(rec.page().unwrap().0);
+            at = next;
+        }
         assert_eq!(pages, (0..20).collect::<Vec<_>>());
     }
 

@@ -1,13 +1,13 @@
 //! Streamed and cached log reading for restart.
 //!
-//! [`ChunkedScanner`] replaces the per-record `scan_forward` in the
-//! restart paths: it reads the log in large page-aligned chunks (one
-//! state-lock acquisition and one media pass per chunk instead of per
-//! record) and splits each chunk into frame references; consumers decode
-//! straight out of the shared chunk buffer, so a record is decoded at
-//! most once across the whole restart. [`stream_chunks`] runs the scanner
-//! on a reader thread feeding a bounded channel, overlapping log reads
-//! with decoding/applying.
+//! [`ChunkedScanner`] is how restart reads the log: it reads in large
+//! page-aligned chunks (one state-lock acquisition and one media pass per
+//! chunk instead of per record) and splits each chunk into frame
+//! references; consumers decode straight out of the shared chunk buffer,
+//! so a record is decoded at most once across the whole restart. A
+//! single-worker restart drives the scanner on its own thread;
+//! [`stream_chunks`] runs it on a reader thread feeding a bounded
+//! channel, overlapping log reads with decoding/applying.
 //!
 //! [`LogReadCache`] is the undo phase's log-page cache: `undo_chain`
 //! walks backward chains in random order, and caching whole log pages
@@ -284,14 +284,28 @@ mod tests {
         expect
     }
 
+    /// The log as a per-record walk sees it: each `read_record` returns
+    /// the next record's LSN.
+    fn record_walk(lm: &LogManager) -> Vec<(Lsn, LogRecord)> {
+        let mut out = Vec::new();
+        let mut at = lm.start_lsn();
+        while at < lm.tail_lsn() {
+            let (rec, next) = lm.read_record(at).unwrap();
+            out.push((at, rec));
+            at = next;
+        }
+        out
+    }
+
     #[test]
-    fn chunked_scan_matches_scan_forward_across_chunk_sizes() {
+    fn chunked_scan_matches_record_walk_across_chunk_sizes() {
         // Half the records durable, half in the volatile tail buffer;
         // chunk sizes below one frame, mid-size (forces the big-record
         // fallback on whole-page records), page-size, and huge.
         for chunk in [29usize, 300, PAGE_SIZE, 1 << 20] {
             let lm = fresh(1 << 20);
             let expect = mixed_log(&lm, true);
+            assert_eq!(record_walk(&lm), expect, "chunk={chunk}: record walk");
             let mut got = Vec::new();
             let mut sc = ChunkedScanner::new(&lm, Lsn(0), lm.tail_lsn(), chunk);
             while let Some(c) = sc.next_chunk().unwrap() {

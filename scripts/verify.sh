@@ -70,12 +70,15 @@ echo "== concurrency tests under a deadlock watchdog =="
 # all six schemes, and reactor clients hammering hot pages while the
 # background flusher checkpoints in a loop (zero maintenance sheds).
 # adaptive_equivalence crashes a seeded mixed-scheme workload at several
-# commit points and requires the serial and parallel (1/2/4-worker)
+# commit points and requires the inline and threaded (1/2/4-worker)
 # restarts of the interleaved PD/SD/WPL/RLOG log to be byte-identical.
+# restart_corruption flips log bytes in crashed images and requires
+# every restart, inline and threaded, to report LogCorrupt or recover
+# exactly the clean state.
 for t in multi_client group_commit shard_independence restart_equivalence \
          runtime_admission runtime_equivalence lock_property \
          record_granularity ckpt_fuzzy ckpt_concurrent \
-         adaptive_equivalence; do
+         adaptive_equivalence restart_corruption; do
     if ! timeout 120 cargo test -q --offline --test "$t"; then
         echo "FAIL: --test $t did not finish within 120s (possible deadlock)" \
              "or failed; see output above"
@@ -140,7 +143,7 @@ rm -rf "$ckpt_dir"
 
 echo "== adaptive benchmark smoke run =="
 # Per-transaction scheme election vs every fixed scheme on three
-# workloads, each run ending in a crash with serial-vs-parallel restart
+# workloads, each run ending in a crash with inline-vs-threaded restart
 # equivalence asserted; --validate asserts the JSON covers every
 # workload × scheme (the 1.05×/1.3× acceptance bars are skipped for
 # smoke files).

@@ -3,8 +3,8 @@
 //! recovery scheme per transaction, so the crashed log interleaves
 //! physical Update records, whole-page images, and logical after-only
 //! records — all tagged by per-transaction TxnScheme marks. Restart of
-//! that mixed log must be deterministic: the serial engine and the
-//! parallel engine (workers 1/2/4) must recover byte-identical media,
+//! that mixed log must be deterministic: inline (1 worker) and threaded
+//! (2/4 workers) restarts must recover byte-identical media,
 //! and every committed value must survive regardless of which scheme
 //! its transaction elected.
 
@@ -173,7 +173,7 @@ fn restart_observed(data: &[u8], log: &[u8], oids: &[Oid], workers: usize) -> Ob
 }
 
 /// The tentpole equivalence claim: crash the mixed-scheme workload after
-/// every k-th commit (several crash points per seed), restart serially,
+/// every k-th commit (several crash points per seed), restart inline,
 /// then with 2 and 4 redo workers — all three recoveries must be
 /// byte-identical, with no transaction left active.
 #[test]
@@ -242,8 +242,8 @@ fn adaptive_recovers_exactly_the_committed_state() {
         .collect();
     drop(server);
 
-    // Crashed twin of the same workload, recovered serially and in
-    // parallel: every committed value must match the ground truth.
+    // Crashed twin of the same workload, recovered inline and with
+    // worker threads: every committed value must match the ground truth.
     let (data, log, oids2) = crashed_images(&cfg, seed, commits);
     assert_eq!(oids, oids2, "scenario divergence");
     for workers in [1, 4] {

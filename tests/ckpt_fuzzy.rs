@@ -4,15 +4,18 @@
 //! with an uncommitted loser active and shipped. For every one of the
 //! six schemes, a crash after fuzzy checkpoints must recover exactly
 //! the state the quiesced-checkpoint oracle recovers: same committed
-//! values, same undone/skipped losers, and the fuzzy media must restart
-//! bit-identically under the serial and the parallel engines.
+//! values (the in-test model of the committed writes), same
+//! undone/skipped losers, and the fuzzy media must restart
+//! bit-identically at every worker count.
 
+mod common;
+
+use common::{crashed_images, crashed_images_model, disk_from, image, value_at};
 use qs_repro::core::{Store, SystemConfig};
 use qs_repro::esm::{ClientConn, RecoveryFlavor, Server, ServerConfig, StableParts};
 use qs_repro::sim::Meter;
-use qs_repro::storage::{MemDisk, Page, StableMedia};
-use qs_repro::types::{ClientId, Lsn, Oid};
-use qs_repro::wal::LogRecord;
+use qs_repro::storage::Page;
+use qs_repro::types::{ClientId, Oid};
 use std::sync::Arc;
 
 fn server_cfg(cfg: &SystemConfig, fuzzy: bool) -> ServerConfig {
@@ -21,126 +24,6 @@ fn server_cfg(cfg: &SystemConfig, fuzzy: bool) -> ServerConfig {
         .with_volume_pages(256)
         .with_log_mb(8.0)
         .with_background_flusher(fuzzy)
-}
-
-/// Byte image of a stable medium.
-fn image(media: &Arc<dyn StableMedia>) -> Vec<u8> {
-    let mut buf = vec![0u8; media.len()];
-    media.read_at(0, &mut buf).unwrap();
-    buf
-}
-
-/// A fresh medium holding the given image.
-fn disk_from(bytes: &[u8]) -> Arc<dyn StableMedia> {
-    let d = MemDisk::new(bytes.len());
-    d.write_at(0, bytes).unwrap();
-    Arc::new(d)
-}
-
-fn value_at(server: &Server, oid: Oid) -> Vec<u8> {
-    server.read_page_for_test(oid.page).unwrap().object(oid.page, oid.slot).unwrap().to_vec()
-}
-
-/// The restart_equivalence crash scenario, parameterized on the
-/// checkpoint protocol: a committed burst, an uncommitted loser shipped
-/// to the server, a checkpoint taken *while the loser is active* (the
-/// mid-transaction case the fuzzy protocol must get right), a second
-/// committed burst, an in-flight transaction, crash.
-fn crashed_images(cfg: &SystemConfig, fuzzy: bool) -> (Vec<u8>, Vec<u8>, Vec<Oid>) {
-    let meter = Meter::new();
-    let server = Arc::new(Server::format(server_cfg(cfg, fuzzy), Arc::clone(&meter)).unwrap());
-    let pids = server.bulk_allocate(10).unwrap();
-    let mut oids = Vec::new();
-    for &pid in &pids {
-        let mut p = Page::new();
-        for _ in 0..4 {
-            oids.push(Oid::new(pid, p.insert(pid, &[0u8; 100]).unwrap()));
-        }
-        server.bulk_write(pid, &p).unwrap();
-    }
-    server.bulk_sync().unwrap();
-
-    let client = ClientConn::new(ClientId(0), Arc::clone(&server), cfg.client_pool_pages(), meter);
-    let mut store = Store::new(client, cfg.clone()).unwrap();
-    for round in 1..=6u8 {
-        store.begin().unwrap();
-        store.modify(oids[round as usize], 0, &[round; 32]).unwrap();
-        store.modify(oids[0], 40, &[round; 32]).unwrap();
-        store.commit().unwrap();
-    }
-    drop(store);
-
-    // The loser: uncommitted, on pages the bursts avoid (6..9), shipped
-    // and made durable by the checkpoint below.
-    let loser = server.begin();
-    for &pid in &pids[6..9] {
-        server.lock_page(loser, pid, qs_repro::esm::LockMode::X).unwrap();
-    }
-    match cfg.flavor {
-        RecoveryFlavor::Wpl => {
-            for &pid in &pids[6..9] {
-                let mut p = server.read_page_for_test(pid).unwrap();
-                p.object_mut(pid, 0).unwrap()[..16].copy_from_slice(&[0xEE; 16]);
-                server.receive_dirty_page(loser, pid, p).unwrap();
-            }
-        }
-        RecoveryFlavor::RedoLogical => {
-            let recs: Vec<LogRecord> = pids[6..9]
-                .iter()
-                .flat_map(|&pid| {
-                    (0..10u8).map(move |i| LogRecord::UpdateLogical {
-                        txn: loser,
-                        prev: Lsn::NULL,
-                        page: pid,
-                        slot: (i % 4) as u16,
-                        offset: (i as u16 % 3) * 20,
-                        after: vec![0xE0 + i; 20],
-                    })
-                })
-                .collect();
-            server.receive_log_records(loser, recs).unwrap();
-        }
-        _ => {
-            let recs: Vec<LogRecord> = pids[6..9]
-                .iter()
-                .flat_map(|&pid| {
-                    (0..10u8).map(move |i| LogRecord::Update {
-                        txn: loser,
-                        prev: Lsn::NULL,
-                        page: pid,
-                        slot: (i % 4) as u16,
-                        offset: (i as u16 % 3) * 20,
-                        before: vec![0u8; 20],
-                        after: vec![0xE0 + i; 20],
-                    })
-                })
-                .collect();
-            server.receive_log_records(loser, recs).unwrap();
-        }
-    }
-    // Mid-transaction checkpoint: quiesced sharp/aged under the oracle
-    // config, two-phase fuzzy (begin → drain → end, no quiesce) under
-    // the flusher config. Either way it must carry the loser in its
-    // transaction-table snapshot.
-    server.checkpoint().unwrap();
-
-    // Burst B: committed work after the checkpoint, then one in-flight
-    // transaction whose unforced tail dies with the crash.
-    let client =
-        ClientConn::new(ClientId(1), Arc::clone(&server), cfg.client_pool_pages(), Meter::new());
-    let mut store = Store::new(client, cfg.clone()).unwrap();
-    for round in 7..=12u8 {
-        store.begin().unwrap();
-        store.modify(oids[(round as usize) % 20], 0, &[round; 32]).unwrap();
-        store.modify(oids[(round as usize) % 20 + 1], 36, &[round; 24]).unwrap();
-        store.commit().unwrap();
-    }
-    store.begin().unwrap();
-    store.modify(oids[2], 0, &[0xDD; 16]).unwrap();
-    drop(store);
-
-    let parts = Arc::try_unwrap(server).ok().expect("sole owner").crash();
-    (image(&parts.data_media), image(&parts.log_media), oids)
 }
 
 /// Everything observable about one restart.
@@ -177,8 +60,8 @@ fn restart_observed(
 
 /// For every scheme: the fuzzy-checkpoint crash recovers the same logical
 /// state as the quiesced-checkpoint oracle (committed values identical,
-/// loser gone), and the fuzzy media restart identically under serial and
-/// parallel engines. The media images themselves differ between the two
+/// loser gone, both equal to the model), and the fuzzy media restart
+/// identically at every worker count. The media images themselves differ between the two
 /// protocols (different checkpoint records), so the comparison is on
 /// recovered state, not raw bytes.
 #[test]
@@ -187,12 +70,15 @@ fn fuzzy_checkpoint_recovers_like_the_quiesced_oracle() {
         let cfg = cfg.with_memory(1.0, 0.25);
         let name = cfg.name();
 
-        let (odata, olog, oids) = crashed_images(&cfg, false);
+        let (odata, olog, oids) = crashed_images(&cfg, server_cfg(&cfg, false));
         let oracle = restart_observed(&odata, &olog, &oids, server_cfg(&cfg, false), 1);
+        let expected = crashed_images_model();
+        assert_eq!(oracle.values, expected, "{name}: quiesced oracle diverged from the model");
 
-        let (fdata, flog, foids) = crashed_images(&cfg, true);
+        let (fdata, flog, foids) = crashed_images(&cfg, server_cfg(&cfg, true));
         assert_eq!(oids, foids, "{name}: scenario divergence");
         let fuzzy = restart_observed(&fdata, &flog, &foids, server_cfg(&cfg, true), 1);
+        assert_eq!(fuzzy.values, expected, "{name}: workers=1 diverged from the model");
 
         assert_eq!(
             fuzzy.values, oracle.values,
@@ -200,10 +86,11 @@ fn fuzzy_checkpoint_recovers_like_the_quiesced_oracle() {
         );
         assert_eq!(fuzzy.active_txns, 0, "{name}: loser survived fuzzy recovery");
 
-        // Serial vs parallel restart of the *same* fuzzy media must be
+        // Inline vs threaded restart of the *same* fuzzy media must be
         // bit-identical, begin/end anchoring included.
         for workers in [2, 4, 8] {
             let got = restart_observed(&fdata, &flog, &foids, server_cfg(&cfg, true), workers);
+            assert_eq!(got.values, expected, "{name}: workers={workers} diverged from the model");
             assert_eq!(got, fuzzy, "{name}: workers={workers} diverged on fuzzy media");
         }
     }

@@ -1,145 +1,25 @@
-//! Serial-vs-parallel restart equivalence: for every recovery scheme,
+//! Restart equivalence across worker counts: for every recovery scheme,
 //! crash the same server mid-burst, then restart the same media image
 //! with `redo_workers` ∈ {1, 2, 4, 8} (and pathological chunk sizes).
-//! The recovered volume, the log, the restart report's phase counts, and
-//! every post-restart read must be byte-identical to the serial
-//! (`redo_workers = 1`) baseline — the parallel engine is an
-//! optimization, never an observable behavior change.
+//! Every run's recovered values must equal an in-test model of the
+//! committed writes — a reference that runs no restart code — and the
+//! recovered volume, the log, the restart report's phase counts, and
+//! every post-restart read must be byte-identical to the inline
+//! (`redo_workers = 1`) baseline: worker threads are an optimization,
+//! never an observable behavior change.
 
+mod common;
+
+use common::{crashed_images, crashed_images_model, disk_from, image, model, value_at};
 use qs_repro::core::{Store, SystemConfig};
 use qs_repro::esm::{ClientConn, RecoveryFlavor, Server, ServerConfig, StableParts};
 use qs_repro::sim::Meter;
-use qs_repro::storage::{MemDisk, Page, StableMedia};
-use qs_repro::types::{ClientId, Lsn, Oid};
-use qs_repro::wal::LogRecord;
+use qs_repro::storage::Page;
+use qs_repro::types::{ClientId, Oid};
 use std::sync::Arc;
 
 fn server_cfg(cfg: &SystemConfig) -> ServerConfig {
     ServerConfig::new(cfg.flavor).with_pool_mb(1.0).with_volume_pages(256).with_log_mb(8.0)
-}
-
-/// Byte image of a stable medium.
-fn image(media: &Arc<dyn StableMedia>) -> Vec<u8> {
-    let mut buf = vec![0u8; media.len()];
-    media.read_at(0, &mut buf).unwrap();
-    buf
-}
-
-/// A fresh medium holding the given image.
-fn disk_from(bytes: &[u8]) -> Arc<dyn StableMedia> {
-    let d = MemDisk::new(bytes.len());
-    d.write_at(0, bytes).unwrap();
-    Arc::new(d)
-}
-
-fn value_at(server: &Server, oid: Oid) -> Vec<u8> {
-    server.read_page_for_test(oid.page).unwrap().object(oid.page, oid.slot).unwrap().to_vec()
-}
-
-/// Build a server with 10 pages × 4 objects and run a crash scenario with
-/// work in every restart phase: a committed burst, an *uncommitted* loser
-/// made durable by a checkpoint, a second committed burst after the
-/// checkpoint (analysis + redo work), and an in-flight transaction at
-/// crash time. Returns the crashed media images and all object ids.
-fn crashed_images(cfg: &SystemConfig) -> (Vec<u8>, Vec<u8>, Vec<Oid>) {
-    let meter = Meter::new();
-    let server = Arc::new(Server::format(server_cfg(cfg), Arc::clone(&meter)).unwrap());
-    let pids = server.bulk_allocate(10).unwrap();
-    let mut oids = Vec::new();
-    for &pid in &pids {
-        let mut p = Page::new();
-        for _ in 0..4 {
-            oids.push(Oid::new(pid, p.insert(pid, &[0u8; 100]).unwrap()));
-        }
-        server.bulk_write(pid, &p).unwrap();
-    }
-    server.bulk_sync().unwrap();
-
-    // Burst A: committed work before the checkpoint.
-    let client = ClientConn::new(ClientId(0), Arc::clone(&server), cfg.client_pool_pages(), meter);
-    let mut store = Store::new(client, cfg.clone()).unwrap();
-    for round in 1..=6u8 {
-        store.begin().unwrap();
-        store.modify(oids[round as usize], 0, &[round; 32]).unwrap();
-        store.modify(oids[0], 40, &[round; 32]).unwrap();
-        store.commit().unwrap();
-    }
-    drop(store);
-
-    // The loser: an uncommitted transaction on pages the bursts avoid
-    // (pages 6..9 — bursts touch only oids on pages 0..5), shipped to the
-    // server and made durable by the checkpoint below. Restart must undo
-    // it (ARIES) or skip its uncommitted images (WPL).
-    let loser = server.begin();
-    for &pid in &pids[6..9] {
-        server.lock_page(loser, pid, qs_repro::esm::LockMode::X).unwrap();
-    }
-    match cfg.flavor {
-        RecoveryFlavor::Wpl => {
-            for &pid in &pids[6..9] {
-                let mut p = server.read_page_for_test(pid).unwrap();
-                p.object_mut(pid, 0).unwrap()[..16].copy_from_slice(&[0xEE; 16]);
-                server.receive_dirty_page(loser, pid, p).unwrap();
-            }
-        }
-        RecoveryFlavor::RedoLogical => {
-            // RLOG losers ship logical (after-only) records; restart must
-            // drop them in analysis rather than undo them.
-            let recs: Vec<LogRecord> = pids[6..9]
-                .iter()
-                .flat_map(|&pid| {
-                    (0..10u8).map(move |i| LogRecord::UpdateLogical {
-                        txn: loser,
-                        prev: Lsn::NULL,
-                        page: pid,
-                        slot: (i % 4) as u16,
-                        offset: (i as u16 % 3) * 20,
-                        after: vec![0xE0 + i; 20],
-                    })
-                })
-                .collect();
-            server.receive_log_records(loser, recs).unwrap();
-        }
-        _ => {
-            let recs: Vec<LogRecord> = pids[6..9]
-                .iter()
-                .flat_map(|&pid| {
-                    (0..10u8).map(move |i| LogRecord::Update {
-                        txn: loser,
-                        prev: Lsn::NULL,
-                        page: pid,
-                        slot: (i % 4) as u16,
-                        offset: (i as u16 % 3) * 20,
-                        before: vec![0u8; 20],
-                        after: vec![0xE0 + i; 20],
-                    })
-                })
-                .collect();
-            server.receive_log_records(loser, recs).unwrap();
-        }
-    }
-    // Checkpoint: forces the loser's records durable and seeds the
-    // checkpoint's transaction table / WPL table snapshot with them.
-    server.checkpoint().unwrap();
-
-    // Burst B: committed work *after* the checkpoint — this is what
-    // analysis scans and redo repeats.
-    let client =
-        ClientConn::new(ClientId(1), Arc::clone(&server), cfg.client_pool_pages(), Meter::new());
-    let mut store = Store::new(client, cfg.clone()).unwrap();
-    for round in 7..=12u8 {
-        store.begin().unwrap();
-        store.modify(oids[(round as usize) % 20], 0, &[round; 32]).unwrap();
-        store.modify(oids[(round as usize) % 20 + 1], 36, &[round; 24]).unwrap();
-        store.commit().unwrap();
-    }
-    // In flight at crash time (its unforced tail is lost with the crash).
-    store.begin().unwrap();
-    store.modify(oids[2], 0, &[0xDD; 16]).unwrap();
-
-    drop(store);
-    let parts = Arc::try_unwrap(server).ok().expect("sole owner").crash();
-    (image(&parts.data_media), image(&parts.log_media), oids)
 }
 
 /// Everything observable about one restart, for comparison across
@@ -202,9 +82,11 @@ fn parallel_restart_is_bit_equivalent_to_serial() {
         SystemConfig::wpl().with_memory(1.0, 0.25),
     ] {
         let name = cfg.name();
-        let (data, log, oids) = crashed_images(&cfg);
+        let (data, log, oids) = crashed_images(&cfg, server_cfg(&cfg));
         let scfg = server_cfg(&cfg);
         let baseline = restart_observed(&data, &log, &oids, scfg.clone(), 1, None);
+        let expected = crashed_images_model();
+        assert_eq!(baseline.values, expected, "{name}: workers=1 diverged from the model");
 
         // The scenario must exercise the engine: scan/analysis work
         // always, undo work for the ARIES flavors.
@@ -237,6 +119,10 @@ fn parallel_restart_is_bit_equivalent_to_serial() {
         for (workers, chunk) in [(2, None), (4, None), (8, None), (4, Some(8192)), (3, Some(29))] {
             let got = restart_observed(&data, &log, &oids, scfg.clone(), workers, chunk);
             assert_eq!(
+                got.values, expected,
+                "{name}: workers={workers} chunk={chunk:?} diverged from the model"
+            );
+            assert_eq!(
                 got, baseline,
                 "{name}: workers={workers} chunk={chunk:?} diverged from serial"
             );
@@ -248,7 +134,7 @@ fn parallel_restart_is_bit_equivalent_to_serial() {
 /// all six schemes: the header checkpoint only advances once the end
 /// record is durable, so restart must anchor on the previous *complete*
 /// checkpoint and recover exactly what a run without the orphaned begin
-/// recovers — under the serial and the parallel engines alike.
+/// recovers — inline and with worker threads alike.
 #[test]
 fn crash_between_begin_and_end_checkpoint_falls_back() {
     for (cfg, _) in SystemConfig::all_schemes() {
@@ -309,10 +195,14 @@ fn crash_between_begin_and_end_checkpoint_falls_back() {
         let (bdata, blog, boids) = run(false);
         let scfg = server_cfg(&cfg).with_background_flusher(true);
         let baseline = restart_observed(&bdata, &blog, &boids, scfg.clone(), 1, None);
+        let writes: Vec<_> = (1..=9u8).map(|round| (round as usize, 0, vec![round; 32])).collect();
+        let expected = model(16, &writes);
+        assert_eq!(baseline.values, expected, "{name}: workers=1 diverged from the model");
 
         let (odata, olog, ooids) = run(true);
         assert_eq!(boids, ooids, "{name}: scenario divergence");
         let orphaned = restart_observed(&odata, &olog, &ooids, scfg.clone(), 1, None);
+        assert_eq!(orphaned.values, expected, "{name}: orphaned media diverged from the model");
 
         // Same recovered state as the run without the orphan: every
         // committed value intact, nothing left active.
@@ -322,10 +212,14 @@ fn crash_between_begin_and_end_checkpoint_falls_back() {
         );
         assert_eq!(orphaned.active_txns, 0, "{name}: phantom txn after fallback");
 
-        // And the orphaned media itself restarts bit-identically under
-        // the parallel engine (anchor selection must agree).
+        // And the orphaned media itself restarts bit-identically with
+        // worker threads (anchor selection must agree).
         for workers in [2, 4] {
             let got = restart_observed(&odata, &olog, &ooids, scfg.clone(), workers, None);
+            assert_eq!(
+                got.values, expected,
+                "{name}: workers={workers} diverged from the model on orphaned media"
+            );
             assert_eq!(got, orphaned, "{name}: workers={workers} diverged on orphaned media");
         }
     }
@@ -371,8 +265,12 @@ fn parallel_restart_equivalence_without_checkpoint() {
 
         let scfg = server_cfg(&cfg);
         let baseline = restart_observed(&data, &log, &oids, scfg.clone(), 1, None);
+        let writes: Vec<_> = (0..oids.len()).map(|i| (i, 0, vec![8u8; 48])).collect();
+        let expected = model(oids.len(), &writes);
+        assert_eq!(baseline.values, expected, "{name}: workers=1 diverged from the model");
         for workers in [2, 4, 8] {
             let got = restart_observed(&data, &log, &oids, scfg.clone(), workers, None);
+            assert_eq!(got.values, expected, "{name}: workers={workers} diverged from the model");
             assert_eq!(got, baseline, "{name}: workers={workers} diverged from serial");
         }
     }

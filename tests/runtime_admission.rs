@@ -133,6 +133,27 @@ fn inflight_budget_sheds_with_typed_reply() {
     reactor.stop();
 }
 
+/// A closed-loop client — it submits its next request only after the
+/// previous reply arrived — never competes with itself for admission:
+/// its slot is free again before its reply is posted, so with a budget
+/// of 1 and no other client, thousands of round trips shed nothing.
+#[test]
+fn closed_loop_client_is_never_shed_by_its_own_slot() {
+    let runtime = RuntimeConfig { workers: 1, inflight_budget: 1, ..RuntimeConfig::default() };
+    let (server, _) = make_server(runtime, None, 1);
+    let reactor = Reactor::start(&server);
+    let port = reactor.connect(ClientId(0));
+    for _ in 0..5_000 {
+        let txn = expect_began(port.call(Request::Begin));
+        expect_ok(port.call(Request::Abort { txn }));
+    }
+    assert_eq!(port.sheds_seen(), 0, "the client saw Overloaded replies");
+    let stats = reactor.stats();
+    assert_eq!(stats.shed_budget, 0, "budget sheds of a lone closed-loop client");
+    assert_eq!(stats.admitted, 10_000);
+    reactor.stop();
+}
+
 /// `queue_depth_max = 0` sheds every submission with `Overloaded` and
 /// counts each one — proof that queue-depth shedding replies rather than
 /// dropping.
