@@ -13,8 +13,8 @@
 //! the same frame.
 
 use crate::avl::AvlMap;
+use qs_types::hash::IdMap;
 use qs_types::{FrameId, PageId, QsError, QsResult, VAddr, PAGE_SIZE};
-use std::collections::HashMap;
 
 /// Status of one mapped page (Figure 1's page-descriptor entry).
 #[derive(Debug, Clone)]
@@ -65,7 +65,7 @@ impl PageDescriptor {
 /// The descriptor table: page → descriptor plus the AVL index by address.
 #[derive(Debug, Default)]
 pub struct DescriptorTable {
-    by_page: HashMap<PageId, PageDescriptor>,
+    by_page: IdMap<PageId, PageDescriptor>,
     by_vaddr: AvlMap<u64, PageId>,
 }
 

@@ -23,8 +23,9 @@
 //! which is invisible to every simulated figure (see DESIGN.md).
 
 use qs_storage::Page;
+use qs_types::hash::IdMap;
 use qs_types::{PageId, PAGE_SIZE};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Smallest supported block size; bounds the bitmap at `PAGE_SIZE / 8 / 64`
 /// words.
@@ -139,7 +140,7 @@ impl Copied {
 pub struct RecoveryBuffer {
     capacity: usize,
     used: usize,
-    copies: HashMap<PageId, Copied>,
+    copies: IdMap<PageId, Copied>,
     /// FIFO order of first copy per page.
     fifo: VecDeque<PageId>,
     overflows: u64,
@@ -154,7 +155,7 @@ impl RecoveryBuffer {
         RecoveryBuffer {
             capacity,
             used: 0,
-            copies: HashMap::new(),
+            copies: IdMap::default(),
             fifo: VecDeque::new(),
             overflows: 0,
             free_bufs: Vec::new(),

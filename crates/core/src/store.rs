@@ -33,12 +33,12 @@ use qs_esm::{ClientConn, RecoveryFlavor};
 use qs_sim::Meter;
 use qs_storage::Page;
 use qs_trace::{TraceCat, Tracer};
+use qs_types::hash::IdSet;
 use qs_types::{
     FrameId, Lsn, Oid, PageId, QsError, QsResult, TxnId, VAddr, LOG_HEADER_SIZE, PAGE_SIZE,
 };
 use qs_vmem::{AccessFault, Mmu, Prot};
 use qs_wal::{RecordWriter, SchemeCode};
-use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -102,7 +102,7 @@ pub struct Store {
     rbuf: RecoveryBuffer,
     /// Pages created by the current transaction (flushed as whole-page
     /// images, the way ESM logs new pages).
-    created: HashSet<PageId>,
+    created: IdSet<PageId>,
     /// Allocation cursor: the created page new objects go to.
     alloc_cursor: Option<PageId>,
     scratch: CommitScratch,
@@ -139,7 +139,7 @@ impl Store {
             mmu,
             table: DescriptorTable::new(),
             rbuf,
-            created: HashSet::new(),
+            created: IdSet::default(),
             alloc_cursor: None,
             scratch: CommitScratch::default(),
             elector,

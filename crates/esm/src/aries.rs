@@ -11,9 +11,9 @@
 use crate::server::Server;
 use crate::txn::TxnTable;
 use qs_trace::PhaseStat;
+use qs_types::hash::{IdMap, IdSet};
 use qs_types::{Lsn, PageId, QsResult, TxnId};
 use qs_wal::{LogReadCache, LogRecord};
-use std::collections::HashMap;
 
 /// Raise `max` to `txn` (ignoring `TxnId::INVALID`, which is also the
 /// "none seen yet" start value): id assignment resumes above the highest
@@ -28,9 +28,9 @@ pub(crate) fn newer_txn(max: &mut TxnId, txn: TxnId) {
 #[derive(Debug, Default)]
 pub(crate) struct Analysis {
     /// Loser candidates: txn → last LSN seen.
-    pub(crate) att: HashMap<TxnId, Lsn>,
+    pub(crate) att: IdMap<TxnId, Lsn>,
     /// Dirty-page table: page → recovery LSN.
-    pub(crate) dpt: HashMap<PageId, Lsn>,
+    pub(crate) dpt: IdMap<PageId, Lsn>,
     /// Highest transaction id seen (id assignment resumes above it).
     pub(crate) max_txn: TxnId,
     /// Highest page id + 1 implied by allocation records.
@@ -66,8 +66,8 @@ impl Analysis {
 /// dirty-page table, and the id high-water marks.
 #[derive(Debug, Default)]
 pub(crate) struct RlogAnalysis {
-    pub(crate) committed: std::collections::HashSet<TxnId>,
-    pub(crate) dpt: HashMap<PageId, Lsn>,
+    pub(crate) committed: IdSet<TxnId>,
+    pub(crate) dpt: IdMap<PageId, Lsn>,
     pub(crate) max_txn: TxnId,
     pub(crate) max_alloc: u64,
 }
@@ -75,7 +75,7 @@ pub(crate) struct RlogAnalysis {
 /// Merge one committed transaction's page → first-LSN map into a DPT,
 /// keeping the earliest recovery LSN per page (the rule for logically
 /// logged transactions, whose pages enter the DPT only at commit).
-pub(crate) fn merge_committed(dpt: &mut HashMap<PageId, Lsn>, pages: HashMap<PageId, Lsn>) {
+pub(crate) fn merge_committed(dpt: &mut IdMap<PageId, Lsn>, pages: IdMap<PageId, Lsn>) {
     for (p, l) in pages {
         let e = dpt.entry(p).or_insert(l);
         if l < *e {
@@ -101,16 +101,16 @@ pub(crate) fn merge_committed(dpt: &mut HashMap<PageId, Lsn>, pages: HashMap<Pag
 pub(crate) struct AdaptiveAnalysis {
     /// Loser candidates: txn → last LSN seen (physical losers undo from
     /// here; logical losers are dropped without undo).
-    pub(crate) att: HashMap<TxnId, Lsn>,
-    pub(crate) committed: std::collections::HashSet<TxnId>,
+    pub(crate) att: IdMap<TxnId, Lsn>,
+    pub(crate) committed: IdSet<TxnId>,
     /// Elected scheme per transaction, from `TxnScheme` records.
-    pub(crate) scheme: HashMap<TxnId, qs_wal::SchemeCode>,
-    pub(crate) dpt: HashMap<PageId, Lsn>,
+    pub(crate) scheme: IdMap<TxnId, qs_wal::SchemeCode>,
+    pub(crate) dpt: IdMap<PageId, Lsn>,
     pub(crate) max_txn: TxnId,
     pub(crate) max_alloc: u64,
     /// Logically-elected transactions' page → first-LSN maps, merged into
     /// the DPT only when their commit record shows up (rlog rule).
-    pub(crate) pending: HashMap<TxnId, HashMap<PageId, Lsn>>,
+    pub(crate) pending: IdMap<TxnId, IdMap<PageId, Lsn>>,
 }
 
 impl AdaptiveAnalysis {
@@ -188,7 +188,7 @@ pub(crate) fn rlog_finish(server: &Server, max_txn: TxnId) -> QsResult<()> {
 /// recovered state durable and truncate the log.
 pub(crate) fn undo_and_finish(
     server: &Server,
-    att: HashMap<TxnId, Lsn>,
+    att: IdMap<TxnId, Lsn>,
     max_txn: TxnId,
     ph_undo: &mut PhaseStat,
 ) -> QsResult<()> {

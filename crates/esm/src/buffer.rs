@@ -11,8 +11,8 @@
 //! WAL — all policy that lives above the pool.
 
 use qs_storage::Page;
+use qs_types::hash::IdMap;
 use qs_types::{PageId, QsError, QsResult};
-use std::collections::HashMap;
 
 /// Doubly-linked LRU list over a slab of nodes; O(1) touch/insert/remove.
 #[derive(Debug, Default)]
@@ -105,7 +105,7 @@ pub struct Evicted {
 /// Fixed-capacity page cache with LRU replacement.
 pub struct BufferPool {
     capacity: usize,
-    frames: HashMap<PageId, Frame>,
+    frames: IdMap<PageId, Frame>,
     lru: LruList,
     evictions: u64,
 }
@@ -116,7 +116,7 @@ impl BufferPool {
         assert!(capacity > 0, "buffer pool must hold at least one page");
         BufferPool {
             capacity,
-            frames: HashMap::with_capacity(capacity),
+            frames: IdMap::with_capacity_and_hasher(capacity, Default::default()),
             lru: LruList::default(),
             evictions: 0,
         }

@@ -20,9 +20,9 @@ use crate::server::{RecoveryFlavor, Server};
 use qs_sim::Meter;
 use qs_storage::Page;
 use qs_trace::{TraceCat, Tracer};
+use qs_types::hash::IdSet;
 use qs_types::{ClientId, Lsn, PageId, QsError, QsResult, TxnId, PAGE_SIZE};
 use qs_wal::{record, LogPressure, LogRecord, RecordWriter, SchemeCode};
-use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -49,7 +49,7 @@ pub struct ClientConn {
     /// commits never allocate here.
     log_buf: Vec<u8>,
     /// Pages this transaction has generated (or declared) log records for.
-    pages_logged: HashSet<PageId>,
+    pages_logged: IdSet<PageId>,
     /// Adaptive flavor: the scheme this transaction elected (its
     /// `TxnScheme` record has been queued). `None` otherwise.
     scheme: Option<SchemeCode>,
@@ -89,7 +89,7 @@ impl ClientConn {
             meter,
             txn: None,
             log_buf: Vec::new(),
-            pages_logged: HashSet::new(),
+            pages_logged: IdSet::default(),
             scheme: None,
             last_pressure: LogPressure::default(),
             tracer,
@@ -115,7 +115,7 @@ impl ClientConn {
             meter,
             txn: None,
             log_buf: Vec::new(),
-            pages_logged: HashSet::new(),
+            pages_logged: IdSet::default(),
             scheme: None,
             last_pressure: LogPressure::default(),
             tracer,

@@ -23,9 +23,10 @@
 //! of locks at clients is not supported") — the client releases everything
 //! at commit/abort via [`LockManager::release_all`].
 
+use qs_types::hash::{IdMap, IdSet};
 use qs_types::sync::{Condvar, Mutex};
 use qs_types::{PageId, QsError, QsResult, TxnId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Lock modes. `S` for reads, `X` for updates; `IS`/`IX` are page-level
@@ -158,7 +159,7 @@ struct Waiter {
 #[derive(Debug, Default)]
 struct LockEntry {
     /// Current holders and their granted mode.
-    holders: HashMap<TxnId, LockMode>,
+    holders: IdMap<TxnId, LockMode>,
     /// FIFO wait queue.
     waiters: VecDeque<Waiter>,
 }
@@ -177,13 +178,13 @@ impl LockEntry {
 
 #[derive(Default)]
 struct LockTables {
-    locks: HashMap<Resource, LockEntry>,
+    locks: IdMap<Resource, LockEntry>,
     /// Resources each transaction holds (for O(held) release).
-    held: HashMap<TxnId, HashSet<Resource>>,
+    held: IdMap<TxnId, IdSet<Resource>>,
     /// waits-for edges (waiter → holders), for deadlock detection. Keyed
     /// by transaction, so page/record (mixed-granularity) cycles are one
     /// graph.
-    waits_for: HashMap<TxnId, HashSet<TxnId>>,
+    waits_for: IdMap<TxnId, IdSet<TxnId>>,
 }
 
 impl LockTables {
@@ -191,7 +192,7 @@ impl LockTables {
         // DFS over waits-for edges looking for a cycle back to `from`.
         let mut stack: Vec<TxnId> =
             self.waits_for.get(&from).into_iter().flatten().copied().collect();
-        let mut seen = HashSet::new();
+        let mut seen = IdSet::default();
         while let Some(t) = stack.pop() {
             if t == from {
                 return true;

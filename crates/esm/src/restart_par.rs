@@ -50,13 +50,13 @@ use crate::shard::shard_index;
 use crate::txn::TxnTable;
 use qs_storage::{Page, Volume};
 use qs_trace::PhaseStat;
+use qs_types::hash::{IdMap, IdSet};
 use qs_types::{Lsn, PageId, QsError, QsResult, TxnId, PAGE_SIZE};
 use qs_wal::record::{self, tag};
 use qs_wal::{
     stream_chunks, CheckpointBody, ChunkedScanner, FrameChunk, FrameRef, LogManager, LogRecord,
 };
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
@@ -273,7 +273,7 @@ pub(crate) fn rlog_restart(server: &Server) -> QsResult<Vec<PhaseStat>> {
         let mut a = RlogAnalysis { max_txn: TxnId::INVALID, ..RlogAnalysis::default() };
         // Loser candidates: txn → page → first LSN, merged into the DPT
         // only if the commit record shows up.
-        let mut pending: HashMap<TxnId, HashMap<PageId, Lsn>> = HashMap::new();
+        let mut pending: IdMap<TxnId, IdMap<PageId, Lsn>> = IdMap::default();
         analysis_pass(view, view.log.start_lsn(), cfg, &mut ph_analysis, |lsn, bytes| {
             let txn = record::frame_txn(bytes);
             newer_txn(&mut a.max_txn, txn);
@@ -349,7 +349,7 @@ pub(crate) fn adaptive_restart(server: &Server) -> QsResult<Vec<PhaseStat>> {
         let skip = |txn: TxnId| analysis.redo_skips(txn);
         redo(view, &analysis.dpt, view.log.start_lsn(), skip, cfg, &mut ph_redo)
     })?;
-    let physical_losers: HashMap<TxnId, Lsn> = analysis
+    let physical_losers: IdMap<TxnId, Lsn> = analysis
         .att
         .iter()
         .filter(|(t, _)| !analysis.is_logical(**t))
@@ -364,7 +364,7 @@ pub(crate) fn adaptive_restart(server: &Server) -> QsResult<Vec<PhaseStat>> {
 #[derive(Default)]
 struct RedoOutcome {
     stats: PhaseStat,
-    resident: HashMap<PageId, Page>,
+    resident: IdMap<PageId, Page>,
 }
 
 /// Page-partitioned redo, shared by every ARIES-family flavor: repeat
@@ -376,7 +376,7 @@ struct RedoOutcome {
 /// router verifies the older ones before reading any of their fields.
 fn redo(
     view: &mut InnerView<'_>,
-    dpt: &HashMap<PageId, Lsn>,
+    dpt: &IdMap<PageId, Lsn>,
     verified_from: Lsn,
     skip: impl Fn(TxnId) -> bool,
     cfg: RestartConfig,
@@ -442,7 +442,7 @@ fn redo(
 /// only avoids wasted work. Whole-page records redo by image replacement.
 fn redo_batch(
     out: &mut RedoOutcome,
-    dpt: &HashMap<PageId, Lsn>,
+    dpt: &IdMap<PageId, Lsn>,
     volume: &Volume,
     buf: &[u8],
     refs: &[FrameRef],
@@ -504,7 +504,7 @@ pub(crate) fn wpl_restart(server: &Server) -> QsResult<Vec<PhaseStat>> {
         let stop = if ck.is_null() { view.log.start_lsn() } else { ck };
         scan.pages_read = pages_spanned(stop, end);
 
-        let mut ctl: HashSet<TxnId> = HashSet::new();
+        let mut ctl: IdSet<TxnId> = IdSet::default();
         let mut max_txn = TxnId::INVALID;
         let mut images = 0usize;
         // The anchor is the oldest in-range checkpoint record: forward
@@ -541,7 +541,7 @@ pub(crate) fn wpl_restart(server: &Server) -> QsResult<Vec<PhaseStat>> {
 
         // Merge: newest committed image per page.
         let mut max_page: Option<u32> = None;
-        let mut newest: HashMap<PageId, ImageCandidate> = HashMap::new();
+        let mut newest: IdMap<PageId, ImageCandidate> = IdMap::default();
         for cand in outcomes.into_iter().flatten() {
             newer_txn(&mut max_txn, cand.txn);
             max_page = Some(max_page.unwrap_or(0).max(cand.pid.0 + 1));
@@ -559,7 +559,7 @@ pub(crate) fn wpl_restart(server: &Server) -> QsResult<Vec<PhaseStat>> {
                 }
             }
         }
-        let mut claimed: HashSet<PageId> = HashSet::new();
+        let mut claimed: IdSet<PageId> = IdSet::default();
         let mut restored: Vec<ImageCandidate> = newest.into_values().collect();
         restored.sort_by_key(|c| c.pid.0);
         for c in restored {

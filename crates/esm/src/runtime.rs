@@ -47,10 +47,10 @@ use crate::shard::shard_index;
 use qs_sim::Meter;
 use qs_storage::Page;
 use qs_trace::TraceCat;
+use qs_types::hash::{fib, IdMap};
 use qs_types::sync::Mutex;
 use qs_types::{ClientId, Lsn, PageId, QsError, QsResult, TxnId};
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Weak};
@@ -149,7 +149,7 @@ impl Response {
 
 /// Route `key` with the same Fibonacci multiplier `shard_index` uses.
 fn route_u64(key: u64, n: usize) -> usize {
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % n
+    (fib(key) >> 32) as usize % n
 }
 
 /// Pick the worker for a request: by page where the request names one (all
@@ -238,12 +238,12 @@ struct Shared {
     /// `None` once the reactor is stopping; closing the channel is what
     /// terminates the committer thread.
     commit_tx: Mutex<Option<Sender<CommitJob>>>,
-    mailboxes: Mutex<HashMap<u16, Mailbox>>,
+    mailboxes: Mutex<IdMap<u16, Mailbox>>,
     /// Lock requests waiting for a grant, keyed by transaction (locks are
     /// requested one at a time per transaction). Entries are inserted
     /// *before* `lock_resource_async` so a grant racing the park cannot be
     /// lost.
-    parked: Mutex<HashMap<TxnId, Parked>>,
+    parked: Mutex<IdMap<TxnId, Parked>>,
     inflight: AtomicUsize,
     stats: Counters,
 }
@@ -565,8 +565,8 @@ impl Reactor {
             cfg,
             workers: handles,
             commit_tx: Mutex::new(Some(commit_tx)),
-            mailboxes: Mutex::new(HashMap::new()),
-            parked: Mutex::new(HashMap::new()),
+            mailboxes: Mutex::new(IdMap::default()),
+            parked: Mutex::new(IdMap::default()),
             inflight: AtomicUsize::new(0),
             stats: Counters::default(),
         });

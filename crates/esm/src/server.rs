@@ -50,10 +50,10 @@ use crate::wpl::WplTable;
 use qs_sim::{HardwareModel, Meter};
 use qs_storage::{MemDisk, Page, StableMedia, Volume};
 use qs_trace::{FlightRecording, PhaseStat, RestartReport, TraceCat, TracedMutex, Tracer};
+use qs_types::hash::IdMap;
 use qs_types::sync::Mutex;
 use qs_types::{Lsn, PageId, QsError, QsResult, TxnId, PAGE_SIZE};
 use qs_wal::{record, CheckpointBody, LogManager, LogPressure, LogRecord};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -284,7 +284,7 @@ pub(crate) struct InnerView<'a> {
     pub(crate) pool: PoolView<'a>,
     pub(crate) txns: &'a mut TxnTable,
     /// ARIES dirty-page table: page → recovery LSN.
-    pub(crate) dpt: &'a mut HashMap<PageId, Lsn>,
+    pub(crate) dpt: &'a mut IdMap<PageId, Lsn>,
     pub(crate) wpl: &'a mut WplTable,
 }
 
@@ -300,14 +300,14 @@ pub struct Server {
     /// Transaction table, behind its own small lock.
     txns: TracedMutex<TxnTable>,
     /// ARIES dirty-page table, behind its own small lock.
-    dpt: TracedMutex<HashMap<PageId, Lsn>>,
+    dpt: TracedMutex<IdMap<PageId, Lsn>>,
     /// WPL table, behind its own small lock.
     wpl: TracedMutex<WplTable>,
     /// `RedoLogical` only: deferred (not-yet-applied) operations of
     /// uncommitted transactions, txn → ops in log order. Never nested
     /// inside any other subsystem lock: every path takes it alone and
     /// releases it before touching the pool, txn table, or volume.
-    pending: TracedMutex<HashMap<TxnId, Vec<PendingOp>>>,
+    pending: TracedMutex<IdMap<TxnId, Vec<PendingOp>>>,
     locks: LockManager,
     meter: Arc<Meter>,
     data_media: Arc<dyn StableMedia>,
@@ -380,9 +380,9 @@ impl Server {
             log: LogTower::new(log, cfg.group_commit),
             pool: ShardedPool::new(cfg.pool_pages, cfg.pool_shards),
             txns: TracedMutex::new("txns", TxnTable::new()),
-            dpt: TracedMutex::new("dpt", HashMap::new()),
+            dpt: TracedMutex::new("dpt", IdMap::default()),
             wpl: TracedMutex::new("wpl", WplTable::new()),
-            pending: TracedMutex::new("pending", HashMap::new()),
+            pending: TracedMutex::new("pending", IdMap::default()),
             locks: LockManager::new(),
             meter,
             data_media: parts.data_media,
@@ -450,9 +450,9 @@ impl Server {
             log: LogTower::new(log, cfg.group_commit),
             pool: ShardedPool::new(cfg.pool_pages, cfg.pool_shards),
             txns: TracedMutex::new("txns", TxnTable::new()),
-            dpt: TracedMutex::new("dpt", HashMap::new()),
+            dpt: TracedMutex::new("dpt", IdMap::default()),
             wpl: TracedMutex::new("wpl", WplTable::new()),
-            pending: TracedMutex::new("pending", HashMap::new()),
+            pending: TracedMutex::new("pending", IdMap::default()),
             locks: LockManager::new(),
             meter,
             data_media: parts.data_media,
@@ -2243,7 +2243,7 @@ mod tests {
         // The chain starts at the log origin (nothing logged before it);
         // its 100 records span exactly these log pages.
         let first = PAGE_SIZE as u64;
-        let distinct: std::collections::HashSet<u64> =
+        let distinct: qs_types::hash::IdSet<u64> =
             (0..100u64).map(|i| (first + i * rec_len) / PAGE_SIZE as u64).collect();
         assert!(distinct.len() < 10, "sanity: records pack many per page");
         assert_eq!(undo.pages_read, distinct.len() as u64, "distinct log pages, not records");

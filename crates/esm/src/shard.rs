@@ -12,6 +12,7 @@
 use crate::buffer::{BufferPool, Evicted};
 use qs_storage::Page;
 use qs_trace::{TracedGuard, TracedMutex, Tracer};
+use qs_types::hash::fib;
 use qs_types::{PageId, QsResult};
 
 /// Which shard a page belongs to: Fibonacci hash of the page id. With one
@@ -20,7 +21,7 @@ pub(crate) fn shard_index(pid: PageId, n: usize) -> usize {
     if n <= 1 {
         0
     } else {
-        ((pid.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % n
+        (fib(pid.0 as u64) >> 32) as usize % n
     }
 }
 
@@ -140,6 +141,18 @@ mod tests {
     }
 
     #[test]
+    fn routing_is_the_golden_ratio_multiply_bit_for_bit() {
+        // Redo partitioning and pool placement depend on these exact
+        // outputs: pin them to the literal golden-ratio multiply.
+        for n in 2..=16 {
+            for pid in (0..4096u32).chain([u32::MAX - 1, u32::MAX]) {
+                let old = ((pid as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % n;
+                assert_eq!(shard_index(PageId(pid), n), old);
+            }
+        }
+    }
+
+    #[test]
     fn multi_shard_routing_is_stable_and_in_range() {
         let n = 8;
         for pid in 0..1000u32 {
@@ -148,7 +161,7 @@ mod tests {
             assert_eq!(s, shard_index(PageId(pid), n), "deterministic");
         }
         // The hash actually spreads pages across shards.
-        let hit: std::collections::HashSet<usize> =
+        let hit: qs_types::hash::IdSet<usize> =
             (0..1000u32).map(|p| shard_index(PageId(p), n)).collect();
         assert_eq!(hit.len(), n, "all shards used by 1000 consecutive pages");
     }

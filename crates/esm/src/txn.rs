@@ -1,7 +1,7 @@
 //! The server's transaction table.
 
+use qs_types::hash::{IdMap, IdSet};
 use qs_types::{Lsn, PageId, QsError, QsResult, TxnId};
-use std::collections::{HashMap, HashSet};
 
 /// Lifecycle of a transaction at the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,7 +27,7 @@ pub struct TxnState {
     /// ESM log-before-page rule enforcement: pages for which this
     /// transaction has already shipped log records (or declared none
     /// needed).
-    pub pages_logged: HashSet<PageId>,
+    pub pages_logged: IdSet<PageId>,
     /// Adaptive flavor: the logging scheme this transaction elected via its
     /// `TxnScheme` record. `None` until (or unless) one arrives.
     pub scheme: Option<qs_wal::SchemeCode>,
@@ -41,7 +41,7 @@ impl TxnState {
             last_lsn: Lsn::NULL,
             first_lsn: Lsn::NULL,
             logged_pages: Vec::new(),
-            pages_logged: HashSet::new(),
+            pages_logged: IdSet::default(),
             scheme: None,
         }
     }
@@ -59,18 +59,18 @@ impl TxnState {
 #[derive(Debug, Default)]
 pub struct TxnTable {
     next_id: u64,
-    txns: HashMap<TxnId, TxnState>,
+    txns: IdMap<TxnId, TxnState>,
 }
 
 impl TxnTable {
     pub fn new() -> TxnTable {
-        TxnTable { next_id: 1, txns: HashMap::new() }
+        TxnTable { next_id: 1, txns: IdMap::default() }
     }
 
     /// Restart constructor: id assignment resumes above anything in the log.
     pub fn resuming_after(max_seen: TxnId) -> TxnTable {
         let next = if max_seen == TxnId::INVALID { 1 } else { max_seen.0 + 1 };
-        TxnTable { next_id: next, txns: HashMap::new() }
+        TxnTable { next_id: next, txns: IdMap::default() }
     }
 
     pub fn begin(&mut self) -> TxnId {

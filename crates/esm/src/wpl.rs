@@ -14,9 +14,9 @@
 //!   the same page exists ("following a crash C2 will be used") — but both
 //!   must be retained until C2's transaction commits.
 
+use qs_types::hash::IdMap;
 use qs_types::{Lsn, PageId, TxnId};
 use qs_wal::WplCheckpointEntry;
-use std::collections::HashMap;
 
 /// One logged copy of a page.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,7 +33,7 @@ pub struct WplVersion {
 #[derive(Debug, Default)]
 pub struct WplTable {
     /// Versions per page, oldest first (the paper's prev-pointer chain).
-    pages: HashMap<PageId, Vec<WplVersion>>,
+    pages: IdMap<PageId, Vec<WplVersion>>,
 }
 
 impl WplTable {

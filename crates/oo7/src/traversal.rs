@@ -19,9 +19,9 @@
 
 use crate::gen::ModuleHandle;
 use crate::schema::{assembly, atomic, composite, connection};
+use qs_types::hash::IdSet;
 use qs_types::{Oid, QsResult};
 use quickstore::Store;
-use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 
 /// Which T2 variant to run.
@@ -91,7 +91,7 @@ fn visit_composite(
     let bytes = store.read(comp)?;
     let root = composite::root_part(&bytes);
     // Depth-first search of the atomic graph, per composite-part visit.
-    let mut seen: HashSet<Oid> = HashSet::new();
+    let mut seen: IdSet<Oid> = IdSet::default();
     let mut stack = vec![root];
     seen.insert(root);
     let mut first = true;

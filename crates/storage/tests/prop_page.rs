@@ -5,8 +5,8 @@
 
 use qs_prng::Prng;
 use qs_storage::{Page, MAX_OBJECT_SIZE};
+use qs_types::hash::IdMap;
 use qs_types::PageId;
-use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -39,7 +39,7 @@ fn page_matches_model() {
     let mut rng = Prng::seed_from_u64(0x5EED_9A6E);
     for case in 0..192 {
         let mut page = Page::new();
-        let mut model: HashMap<u16, Vec<u8>> = HashMap::new();
+        let mut model: IdMap<u16, Vec<u8>> = IdMap::default();
         for op in random_ops(&mut rng) {
             match op {
                 Op::Insert(data) => {

@@ -5,6 +5,7 @@
 //! the vocabulary spoken by every other crate in the workspace.
 
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod sync;
 

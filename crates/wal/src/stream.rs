@@ -17,9 +17,9 @@
 
 use crate::log::LogManager;
 use crate::record::{LogRecord, PREFIX, TRAILER};
+use qs_types::hash::IdMap;
 use qs_types::{Lsn, QsError, QsResult, PAGE_SIZE};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 
@@ -174,7 +174,7 @@ struct CachedPage {
 /// time never change.
 #[derive(Default)]
 pub struct LogReadCache {
-    pages: HashMap<u64, CachedPage>,
+    pages: IdMap<u64, CachedPage>,
     fetches: u64,
 }
 

@@ -11,7 +11,7 @@
 
 use qs_types::{Lsn, PageId, TxnId, LOG_HEADER_SIZE, PAGE_SIZE};
 
-use crate::record::{fnv1a, PREFIX, TRAILER};
+use crate::record::{frame_checksum, PREFIX, TRAILER};
 
 /// Streams encoded log records into a borrowed batch buffer.
 pub struct RecordWriter<'a> {
@@ -43,11 +43,12 @@ impl<'a> RecordWriter<'a> {
         at
     }
 
-    /// Write the trailer and checksum for the record starting at `at`.
+    /// Write the trailer and the [`frame_checksum`] of `rec[8..total-4]`
+    /// for the record starting at `at`.
     fn finish(&mut self, at: usize, total: usize) {
         let rec = &mut self.buf[at..at + total];
         rec[total - 4..].copy_from_slice(&(total as u32).to_le_bytes());
-        let ck = fnv1a(&rec[8..total - 4]);
+        let ck = frame_checksum(&rec[8..total - 4]);
         rec[4..8].copy_from_slice(&ck.to_le_bytes());
         self.records += 1;
     }

@@ -19,8 +19,8 @@
 //! as `qs-prng`), so every failure reproduces from its printed seed.
 
 use qs_repro::esm::{AsyncLockOutcome, LockManager, LockMode, Resource};
+use qs_repro::types::hash::IdMap;
 use qs_repro::types::{PageId, QsError, TxnId};
-use std::collections::HashMap;
 
 /// Minimal LCG (Knuth's MMIX constants); deterministic per seed.
 struct Lcg(u64);
@@ -52,7 +52,7 @@ impl Lcg {
 #[derive(Default)]
 struct FlatOracle {
     /// page -> (txn -> mode); an entry disappears with its last holder.
-    locks: HashMap<u32, HashMap<u64, LockMode>>,
+    locks: IdMap<u32, IdMap<u64, LockMode>>,
 }
 
 impl FlatOracle {
