@@ -27,7 +27,7 @@ use qs_storage::{MemDisk, Page, Volume};
 use qs_trace::Tracer;
 use qs_types::sync::Mutex;
 use qs_types::{ClientId, Lsn, PageId, TxnId};
-use qs_wal::{LogManager, LogRecord};
+use qs_wal::{LogManager, RecordWriter};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -122,16 +122,19 @@ fn txn_val(i: usize, t: usize) -> u8 {
     ((i * 31 + t) % 251 + 1) as u8
 }
 
-fn update_record(txn: TxnId, pid: PageId, val: u8) -> LogRecord {
-    LogRecord::Update {
+/// The one update frame every driver ships: object 0 of `pid` set to `val`.
+fn update_frame(txn: TxnId, pid: PageId, val: u8) -> Vec<u8> {
+    let mut enc = Vec::new();
+    RecordWriter::new(&mut enc).update(
         txn,
-        prev: Lsn::NULL,
-        page: pid,
-        slot: 0,
-        offset: 0,
-        before: vec![0u8; OBJECT_BYTES],
-        after: vec![val; OBJECT_BYTES],
-    }
+        Lsn::NULL,
+        pid,
+        0,
+        0,
+        &[0u8; OBJECT_BYTES],
+        &[val; OBJECT_BYTES],
+    );
+    enc
 }
 
 /// One update transaction over `set` via direct server calls, optionally
@@ -148,8 +151,8 @@ fn one_txn_direct(server: &Server, set: &[PageId], val: u8, global: Option<&Mute
         call!(server.lock_page(txn, pid, LockMode::X).unwrap());
         let mut page = call!(server.fetch_page(txn, pid).unwrap());
         page.object_mut(pid, 0).unwrap().fill(val);
-        let rec = update_record(txn, pid, val);
-        call!(server.receive_log_records(txn, vec![rec]).unwrap());
+        let enc = update_frame(txn, pid, val);
+        call!(server.receive_log_bytes(txn, &enc).unwrap());
         call!(server.receive_dirty_page(txn, pid, page).unwrap());
     }
     call!(server.commit(txn).unwrap());
@@ -204,8 +207,8 @@ pub fn drive_threads_commit_latency(
                         server.lock_page(txn, pid, LockMode::X).unwrap();
                         let mut page = server.fetch_page(txn, pid).unwrap();
                         page.object_mut(pid, 0).unwrap().fill(val);
-                        let rec = update_record(txn, pid, val);
-                        server.receive_log_records(txn, vec![rec]).unwrap();
+                        let enc = update_frame(txn, pid, val);
+                        server.receive_log_bytes(txn, &enc).unwrap();
                         server.receive_dirty_page(txn, pid, page).unwrap();
                     }
                     let t0 = Instant::now();
@@ -280,7 +283,7 @@ impl SimClient {
             Step::Note(i) => Request::NoteLogged { txn: self.txn, pid: self.set[i] },
             Step::Log(i) => Request::LogBytes {
                 txn: self.txn,
-                bytes: update_record(self.txn, self.set[i], self.val()).encode(),
+                bytes: update_frame(self.txn, self.set[i], self.val()),
             },
             Step::Ship(i) => Request::DirtyPage {
                 txn: self.txn,

@@ -22,7 +22,7 @@ use qs_storage::Page;
 use qs_trace::{TraceCat, Tracer};
 use qs_types::hash::IdSet;
 use qs_types::{ClientId, Lsn, PageId, QsError, QsResult, TxnId, PAGE_SIZE};
-use qs_wal::{record, LogPressure, LogRecord, RecordWriter, SchemeCode};
+use qs_wal::{record, LogPressure, RecordWriter, SchemeCode};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -350,17 +350,6 @@ impl ClientConn {
         Ok(())
     }
 
-    /// Queue log records describing updates to `pid` (struct-level
-    /// convenience over [`ClientConn::add_encoded_records`]; tests and
-    /// non-hot-path callers).
-    pub fn add_log_records(&mut self, pid: PageId, records: Vec<LogRecord>) -> QsResult<()> {
-        let mut enc = Vec::new();
-        for r in &records {
-            enc.extend_from_slice(&r.encode());
-        }
-        self.add_encoded_records(pid, &enc)
-    }
-
     // -- adaptive scheme election -------------------------------------------
 
     /// Elect the logging scheme for the current transaction (adaptive
@@ -386,7 +375,8 @@ impl ClientConn {
         }
         self.scheme = Some(scheme);
         // The TxnScheme record names no page: queue it directly (the server
-        // rechains `prev` on receipt, as it does for every client record).
+        // patches in the chain's `prev` on receipt, as it does for every
+        // client record).
         RecordWriter::new(&mut self.log_buf).scheme_mark(txn, Lsn::NULL, scheme);
         self.meter.log_records_generated.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -682,16 +672,9 @@ mod tests {
         c.mark_dirty(pid);
         // Generate one log record (PD would diff; here we hand-roll it).
         let txn = c.txn().unwrap();
-        let rec = LogRecord::Update {
-            txn,
-            prev: qs_types::Lsn::NULL,
-            page: pid,
-            slot: 0,
-            offset: 0,
-            before,
-            after: vec![7u8; 128],
-        };
-        c.add_log_records(pid, vec![rec]).unwrap();
+        let mut enc = Vec::new();
+        RecordWriter::new(&mut enc).update(txn, Lsn::NULL, pid, 0, 0, &before, &[7u8; 128]);
+        c.add_encoded_records(pid, &enc).unwrap();
         c.ship_cached_dirty_page(pid).unwrap();
         c.finish_commit().unwrap();
 
@@ -725,19 +708,9 @@ mod tests {
         c.page_mut(pid).unwrap().object_mut(pid, 0).unwrap().fill(9);
         c.mark_dirty(pid);
         let txn = c.txn().unwrap();
-        c.add_log_records(
-            pid,
-            vec![LogRecord::Update {
-                txn,
-                prev: qs_types::Lsn::NULL,
-                page: pid,
-                slot: 0,
-                offset: 0,
-                before: vec![0u8; 128],
-                after: vec![9u8; 128],
-            }],
-        )
-        .unwrap();
+        let mut enc = Vec::new();
+        RecordWriter::new(&mut enc).update(txn, Lsn::NULL, pid, 0, 0, &[0u8; 128], &[9u8; 128]);
+        c.add_encoded_records(pid, &enc).unwrap();
         c.ship_cached_dirty_page(pid).unwrap();
         c.finish_commit().unwrap();
         let s = c.meter().snapshot();
@@ -775,18 +748,12 @@ mod tests {
         let txn = c.txn().unwrap();
         // ~90 records × ~114 bytes ≈ 10 KB → at least one full page ships
         // before commit.
-        let recs: Vec<LogRecord> = (0..90)
-            .map(|i| LogRecord::Update {
-                txn,
-                prev: qs_types::Lsn::NULL,
-                page: pid,
-                slot: 0,
-                offset: (i % 96) as u16,
-                before: vec![0; 32],
-                after: vec![1; 32],
-            })
-            .collect();
-        c.add_log_records(pid, recs).unwrap();
+        let mut enc = Vec::new();
+        let mut w = RecordWriter::new(&mut enc);
+        for i in 0..90u16 {
+            w.update(txn, Lsn::NULL, pid, 0, i % 96, &[0; 32], &[1; 32]);
+        }
+        c.add_encoded_records(pid, &enc).unwrap();
         assert!(c.meter().snapshot().log_record_pages_shipped >= 1);
         c.note_page_logged(pid).unwrap();
         c.flush_log().unwrap();

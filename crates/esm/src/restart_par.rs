@@ -468,9 +468,7 @@ fn redo_batch(
         if record::frame_tag(bytes) == tag::WHOLE_PAGE {
             *page = Page::from_bytes(record::frame_whole_page_image(bytes)?)?;
         } else if let Some((slot, offset, after)) = record::frame_redo_slice(bytes)? {
-            let obj = page.object_mut(pid, slot)?;
-            let off = offset as usize;
-            obj[off..off + after.len()].copy_from_slice(after);
+            page.write_range(pid, slot, offset, after)?;
         }
         page.set_lsn(r.lsn);
     }

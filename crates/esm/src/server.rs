@@ -53,7 +53,8 @@ use qs_trace::{FlightRecording, PhaseStat, RestartReport, TraceCat, TracedMutex,
 use qs_types::hash::IdMap;
 use qs_types::sync::Mutex;
 use qs_types::{Lsn, PageId, QsError, QsResult, TxnId, PAGE_SIZE};
-use qs_wal::{record, CheckpointBody, LogManager, LogPressure, LogRecord};
+use qs_wal::record::{self, tag};
+use qs_wal::{CheckpointBody, LogManager, LogPressure, LogRecord, SchemeCode};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -687,14 +688,7 @@ impl Server {
     fn apply_pending_op(page: &mut Page, pid: PageId, op: &PendingOp) -> QsResult<()> {
         match op {
             PendingOp::Logical { slot, offset, after, lsn, .. } => {
-                let obj = page.object_mut(pid, *slot)?;
-                let off = *offset as usize;
-                if off + after.len() > obj.len() {
-                    return Err(QsError::RecoveryFailed {
-                        detail: format!("logical redo range past object end on {pid}"),
-                    });
-                }
-                obj[off..off + after.len()].copy_from_slice(after);
+                page.write_range(pid, *slot, *offset, after)?;
                 page.set_lsn(*lsn);
             }
             PendingOp::Image { image, lsn, .. } => {
@@ -883,69 +877,6 @@ impl Server {
         }
     }
 
-    /// Receive a batch of client-generated log records (ESM and REDO
-    /// flavors). Under REDO the redo information is applied to the server's
-    /// copy of each page immediately (§3.5), reading the page from disk if
-    /// necessary — the scheme's Achilles heel.
-    pub fn receive_log_records(&self, txn: TxnId, records: Vec<LogRecord>) -> QsResult<()> {
-        if self.cfg.flavor == RecoveryFlavor::Wpl {
-            return Err(QsError::Protocol {
-                detail: "WPL clients do not generate log records".into(),
-            });
-        }
-        self.txns.lock(&self.tracer).active_mut(txn)?;
-        for rec in records {
-            if rec.txn() != txn {
-                return Err(QsError::Protocol {
-                    detail: format!("record for {} shipped by {txn}", rec.txn()),
-                });
-            }
-            if self.cfg.flavor == RecoveryFlavor::RedoLogical
-                && matches!(rec, LogRecord::Update { .. })
-            {
-                return Err(QsError::Protocol {
-                    detail: "RLOG clients ship logical records, not physical before/after images"
-                        .into(),
-                });
-            }
-            if self.cfg.flavor != RecoveryFlavor::Adaptive
-                && matches!(rec, LogRecord::TxnScheme { .. })
-            {
-                return Err(QsError::Protocol {
-                    detail: "TxnScheme records are only legal under the adaptive flavor".into(),
-                });
-            }
-            // Client-side `prev` is unknown to the client; rebuild the
-            // backward chain here where the authoritative last_lsn lives.
-            // The txn-table lock is held across the append so the chain
-            // stays consistent under concurrency.
-            let mut txns = self.txns.lock(&self.tracer);
-            let rec = Self::rechain(rec, txns.get(txn)?.last_lsn);
-            let lsn = self.log.wal().append(&rec)?;
-            txns.active_mut(txn)?.note_logged(lsn);
-            if let LogRecord::TxnScheme { scheme, .. } = rec {
-                // The transaction's elected scheme governs how every later
-                // record of this chain is processed.
-                txns.active_mut(txn)?.scheme = Some(scheme);
-            } else if let Some(pid) = rec.page() {
-                txns.active_mut(txn)?.pages_logged.insert(pid);
-                let deferred = self.defers_apply(&txns, txn)?;
-                drop(txns);
-                if deferred {
-                    // No-steal deferred apply: the DPT is untouched until
-                    // the op lands in the pool at commit.
-                    self.stash_pending(txn, &rec, lsn);
-                } else {
-                    self.dpt.lock(&self.tracer).entry(pid).or_insert(lsn);
-                    if self.cfg.flavor == RecoveryFlavor::RedoAtServer {
-                        self.apply_redo_hot(&rec, lsn)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Does this transaction's receive path stash records for deferred
     /// (post-commit) application rather than tracking them in the DPT?
     /// True for `RedoLogical` always, and for `Adaptive` transactions that
@@ -960,48 +891,46 @@ impl Server {
         })
     }
 
-    /// Byte-frame twin of [`Server::receive_log_records`]: the client ships
-    /// already-encoded records (built by `qs_wal::RecordWriter`), and the
-    /// backward chain is patched *in place* on append
-    /// ([`qs_wal::LogManager::append_rechained`]) — the hot path never
-    /// decodes or re-encodes a record. Semantics and WAL bytes are
-    /// identical to the record-struct path.
+    /// Receive a batch of client-generated log records (ESM, REDO, RLOG
+    /// and adaptive flavors), shipped as encoded frames built by
+    /// `qs_wal::RecordWriter`. Under REDO the redo information is applied
+    /// to the server's copy of each page immediately (§3.5), reading the
+    /// page from disk if necessary — the scheme's Achilles heel.
+    ///
+    /// The whole batch is validated before any frame is appended: every
+    /// frame must pass [`record::frame_verify`] (length, trailer and
+    /// checksum as shipped), belong to `txn`, and carry a tag a client may
+    /// ship — update, whole-page, logical update or scheme mark. The
+    /// backward chain is then patched *in place* on append
+    /// ([`qs_wal::LogManager::append_rechained`]); the hot path never
+    /// decodes or re-encodes a record.
     pub fn receive_log_bytes(&self, txn: TxnId, batch: &[u8]) -> QsResult<()> {
         if self.cfg.flavor == RecoveryFlavor::Wpl {
             return Err(QsError::Protocol {
                 detail: "WPL clients do not generate log records".into(),
             });
         }
-        self.txns.lock(&self.tracer).active_mut(txn)?;
+        // The scheme each frame is shipped under: a scheme mark earlier in
+        // the same batch counts.
+        let mut scheme = self.txns.lock(&self.tracer).active_mut(txn)?.scheme;
         let mut at = 0usize;
         while at < batch.len() {
             let len = record::frame_len(&batch[at..])?;
             let frame = &batch[at..at + len];
-            if record::frame_txn(frame) != txn {
-                return Err(QsError::Protocol {
-                    detail: format!("record for {} shipped by {txn}", record::frame_txn(frame)),
-                });
-            }
-            if self.cfg.flavor == RecoveryFlavor::RedoLogical && record::frame_tag(frame) == 1 {
-                return Err(QsError::Protocol {
-                    detail: "RLOG clients ship logical records, not physical before/after images"
-                        .into(),
-                });
-            }
-            if self.cfg.flavor != RecoveryFlavor::Adaptive && record::frame_tag(frame) == 11 {
-                return Err(QsError::Protocol {
-                    detail: "TxnScheme records are only legal under the adaptive flavor".into(),
-                });
-            }
+            record::frame_verify(frame)?;
+            self.check_shipped_frame(txn, scheme, frame)?;
+            scheme = record::frame_scheme(frame).or(scheme);
+            at += len;
+        }
+        let mut at = 0usize;
+        while at < batch.len() {
+            let len = record::frame_len(&batch[at..])?;
+            let frame = &batch[at..at + len];
             let mut txns = self.txns.lock(&self.tracer);
-            // Mirror `rechain`: only update/whole-page/page-alloc/logical/
-            // scheme records get the transaction's backward chain; any other
-            // tag keeps the prev it was shipped with.
-            let prev = match record::frame_tag(frame) {
-                1..=3 | 8 | 11 => txns.get(txn)?.last_lsn,
-                _ => record::frame_prev(frame),
-            };
-            let lsn = self.log.wal().append_rechained(frame, prev)?;
+            // Clients cannot know the transaction's backward chain; the
+            // txn-table lock is held across the append so the chain stays
+            // consistent under concurrency.
+            let lsn = self.log.wal().append_rechained(frame, txns.get(txn)?.last_lsn)?;
             txns.active_mut(txn)?.note_logged(lsn);
             if let Some(scheme) = record::frame_scheme(frame) {
                 // The transaction's elected scheme governs how every later
@@ -1012,17 +941,13 @@ impl Server {
                 let deferred = self.defers_apply(&txns, txn)?;
                 drop(txns);
                 if deferred {
-                    // Deferred apply is off the allocation-free path by
-                    // design; decoding per record is fine here.
-                    let rec = LogRecord::decode(frame)?;
-                    self.stash_pending(txn, &rec, lsn);
+                    // No-steal deferred apply: the DPT is untouched until
+                    // the op lands in the pool at commit.
+                    self.stash_pending(txn, pid, frame, lsn)?;
                 } else {
                     self.dpt.lock(&self.tracer).entry(pid).or_insert(lsn);
                     if self.cfg.flavor == RecoveryFlavor::RedoAtServer {
-                        // Redo application is off the allocation-free path by
-                        // design; decoding per record is fine here.
-                        let rec = LogRecord::decode(frame)?;
-                        self.apply_redo_hot(&rec, lsn)?;
+                        self.apply_redo_hot(pid, frame, lsn)?;
                     }
                 }
             }
@@ -1031,43 +956,62 @@ impl Server {
         Ok(())
     }
 
-    fn rechain(rec: LogRecord, prev: Lsn) -> LogRecord {
-        match rec {
-            LogRecord::Update { txn, page, slot, offset, before, after, .. } => {
-                LogRecord::Update { txn, prev, page, slot, offset, before, after }
+    /// May `txn`'s client ship this (checksum-verified) frame under
+    /// `scheme`? Only the record kinds clients generate are accepted;
+    /// commit, abort, CLR, page-alloc and checkpoint records are the
+    /// server's to write. A logically logged transaction (RLOG, or an
+    /// adaptive one that elected WPL or RLOG) applies nothing until commit
+    /// and never undoes, so a physical update from it is refused rather
+    /// than logged and left unapplied.
+    fn check_shipped_frame(
+        &self,
+        txn: TxnId,
+        scheme: Option<SchemeCode>,
+        frame: &[u8],
+    ) -> QsResult<()> {
+        let protocol = |detail: String| Err(QsError::Protocol { detail });
+        if record::frame_txn(frame) != txn {
+            return protocol(format!("record for {} shipped by {txn}", record::frame_txn(frame)));
+        }
+        let logical = self.cfg.flavor == RecoveryFlavor::RedoLogical
+            || scheme.is_some_and(|s| s.is_logical());
+        match record::frame_tag(frame) {
+            tag::UPDATE if logical => protocol(
+                "logically logged transactions ship logical records, not physical \
+                 before/after images"
+                    .into(),
+            ),
+            tag::TXN_SCHEME if self.cfg.flavor != RecoveryFlavor::Adaptive => {
+                protocol("TxnScheme records are only legal under the adaptive flavor".into())
             }
-            LogRecord::WholePage { txn, page, image, .. } => {
-                LogRecord::WholePage { txn, prev, page, image }
+            tag::TXN_SCHEME if record::frame_scheme(frame).is_none() => {
+                protocol("TxnScheme record names no known scheme".into())
             }
-            LogRecord::PageAlloc { txn, page, .. } => LogRecord::PageAlloc { txn, prev, page },
-            LogRecord::UpdateLogical { txn, page, slot, offset, after, .. } => {
-                LogRecord::UpdateLogical { txn, prev, page, slot, offset, after }
-            }
-            LogRecord::TxnScheme { txn, scheme, .. } => LogRecord::TxnScheme { txn, prev, scheme },
-            other => other,
+            tag::UPDATE | tag::WHOLE_PAGE | tag::UPDATE_LOGICAL | tag::TXN_SCHEME => Ok(()),
+            t => protocol(format!("clients do not ship log records with tag {t}")),
         }
     }
 
-    /// Stash one received `RedoLogical` record as a deferred op. Nothing
-    /// touches the pool or the DPT here — that happens after the commit
-    /// force in [`Server::apply_pending_committed`].
-    fn stash_pending(&self, txn: TxnId, rec: &LogRecord, lsn: Lsn) {
-        let op = match rec {
-            LogRecord::UpdateLogical { page, slot, offset, after, .. } => PendingOp::Logical {
-                page: *page,
-                slot: *slot,
-                offset: *offset,
-                after: after.clone(),
+    /// Stash one received deferred-apply frame (logical update or whole
+    /// page) as a pending op. Nothing touches the pool or the DPT here —
+    /// that happens after the commit force in
+    /// [`Server::apply_pending_committed`].
+    fn stash_pending(&self, txn: TxnId, page: PageId, frame: &[u8], lsn: Lsn) -> QsResult<()> {
+        let op = match record::frame_tag(frame) {
+            tag::UPDATE_LOGICAL => {
+                let (slot, offset, after) =
+                    record::frame_redo_slice(frame)?.expect("logical update has a redo image");
+                PendingOp::Logical { page, slot, offset, after: after.to_vec(), lsn }
+            }
+            tag::WHOLE_PAGE => PendingOp::Image {
+                page,
+                image: record::frame_whole_page_image(frame)?.to_vec(),
                 lsn,
             },
-            LogRecord::WholePage { page, image, .. } => {
-                PendingOp::Image { page: *page, image: image.clone(), lsn }
-            }
-            // PageAlloc needs no deferred work: the volume allocation
-            // already happened in `allocate_page`.
-            _ => return,
+            _ => return Ok(()),
         };
         self.pending.lock(&self.tracer).entry(txn).or_default().push(op);
+        Ok(())
     }
 
     /// Post-force half of a `RedoLogical` commit: move the transaction's
@@ -1108,11 +1052,10 @@ impl Server {
         Ok(())
     }
 
-    /// Apply one redo record to the server's copy of the page, under the
+    /// Apply one redo frame to the server's copy of page `pid`, under the
     /// page's shard lock. Only the REDO flavor reaches this, so a pool
     /// miss always fills from the volume (no WPL table involved).
-    fn apply_redo_hot(&self, rec: &LogRecord, lsn: Lsn) -> QsResult<()> {
-        let pid = rec.page().expect("redo record without page");
+    fn apply_redo_hot(&self, pid: PageId, frame: &[u8], lsn: Lsn) -> QsResult<()> {
         let mut pool = self.pool.lock(pid, &self.tracer);
         // Ensure the page is resident (disk read on miss — metered).
         if !pool.contains(pid) {
@@ -1125,20 +1068,13 @@ impl Server {
             }
         }
         let page = pool.get_mut(pid).expect("page resident after read");
-        match rec {
-            LogRecord::Update { slot, offset, after, .. } => {
-                let obj = page.object_mut(pid, *slot)?;
-                let off = *offset as usize;
-                if off + after.len() > obj.len() {
-                    return Err(QsError::RecoveryFailed {
-                        detail: format!("redo range past object end on {pid}"),
-                    });
-                }
-                obj[off..off + after.len()].copy_from_slice(after);
+        match record::frame_tag(frame) {
+            tag::UPDATE => {
+                let (slot, offset, after) =
+                    record::frame_redo_slice(frame)?.expect("update has a redo image");
+                page.write_range(pid, slot, offset, after)?;
             }
-            LogRecord::WholePage { image, .. } => {
-                *page = Page::from_bytes(image)?;
-            }
+            tag::WHOLE_PAGE => *page = Page::from_bytes(record::frame_whole_page_image(frame)?)?,
             _ => {}
         }
         page.set_lsn(lsn);
@@ -1398,9 +1334,7 @@ impl Server {
                     }
                     let clr_lsn_guess = view.log.tail_lsn();
                     let page = view.pool.get_mut(pid).expect("resident");
-                    let obj = page.object_mut(pid, slot)?;
-                    let off = offset as usize;
-                    obj[off..off + before.len()].copy_from_slice(&before);
+                    page.write_range(pid, slot, offset, &before)?;
                     page.set_lsn(clr_lsn_guess);
                     view.pool.mark_dirty(pid);
                     let t_prev = view.txns.get(txn)?.last_lsn;
@@ -1977,6 +1911,7 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qs_wal::RecordWriter;
 
     fn small_cfg(flavor: RecoveryFlavor) -> ServerConfig {
         ServerConfig {
@@ -2006,6 +1941,26 @@ mod tests {
         (server, pids)
     }
 
+    /// Ship one update of object 0 of `pid`, encoded as a client would.
+    fn ship_update(
+        server: &Server,
+        txn: TxnId,
+        pid: PageId,
+        before: &[u8],
+        after: &[u8],
+    ) -> QsResult<()> {
+        let mut enc = Vec::new();
+        RecordWriter::new(&mut enc).update(txn, Lsn::NULL, pid, 0, 0, before, after);
+        server.receive_log_bytes(txn, &enc)
+    }
+
+    /// Ship one logical (after-image only) update of object 0 of `pid`.
+    fn ship_logical(server: &Server, txn: TxnId, pid: PageId, after: &[u8]) -> QsResult<()> {
+        let mut enc = Vec::new();
+        RecordWriter::new(&mut enc).update_logical(txn, Lsn::NULL, pid, 0, 0, after);
+        server.receive_log_bytes(txn, &enc)
+    }
+
     fn updated_page(server: &Server, txn: TxnId, pid: PageId, val: u8) -> Page {
         let mut page = server.fetch_page(txn, pid).unwrap();
         let obj = page.object_mut(pid, 0).unwrap();
@@ -2025,27 +1980,10 @@ mod tests {
                 server.receive_dirty_page(txn, pid, page).unwrap();
             }
             RecoveryFlavor::RedoLogical => {
-                let rec = LogRecord::UpdateLogical {
-                    txn,
-                    prev: Lsn::NULL,
-                    page: pid,
-                    slot: 0,
-                    offset: 0,
-                    after: vec![7u8; 64],
-                };
-                server.receive_log_records(txn, vec![rec]).unwrap();
+                ship_logical(&server, txn, pid, &[7u8; 64]).unwrap();
             }
             _ => {
-                let rec = LogRecord::Update {
-                    txn,
-                    prev: Lsn::NULL,
-                    page: pid,
-                    slot: 0,
-                    offset: 0,
-                    before: vec![0u8; 64],
-                    after: vec![7u8; 64],
-                };
-                server.receive_log_records(txn, vec![rec]).unwrap();
+                ship_update(&server, txn, pid, &[0u8; 64], &[7u8; 64]).unwrap();
                 if flavor == RecoveryFlavor::EsmAries {
                     server.receive_dirty_page(txn, pid, page).unwrap();
                 }
@@ -2086,16 +2024,7 @@ mod tests {
         let txn = server.begin();
         server.lock_page(txn, pids[0], LockMode::X).unwrap();
         let page = updated_page(&server, txn, pids[0], 7);
-        let rec = LogRecord::Update {
-            txn,
-            prev: Lsn::NULL,
-            page: pids[0],
-            slot: 0,
-            offset: 0,
-            before: vec![0u8; 64],
-            after: vec![7u8; 64],
-        };
-        server.receive_log_records(txn, vec![rec]).unwrap();
+        ship_update(&server, txn, pids[0], &[0u8; 64], &[7u8; 64]).unwrap();
         server.receive_dirty_page(txn, pids[0], page).unwrap();
         server.commit(txn).unwrap();
         let parts = server.crash();
@@ -2171,27 +2100,10 @@ mod tests {
             match flavor {
                 RecoveryFlavor::Wpl => server.receive_dirty_page(txn, pid, page).unwrap(),
                 RecoveryFlavor::RedoLogical => {
-                    let rec = LogRecord::UpdateLogical {
-                        txn,
-                        prev: Lsn::NULL,
-                        page: pid,
-                        slot: 0,
-                        offset: 0,
-                        after: vec![9u8; 64],
-                    };
-                    server.receive_log_records(txn, vec![rec]).unwrap();
+                    ship_logical(&server, txn, pid, &[9u8; 64]).unwrap();
                 }
                 _ => {
-                    let rec = LogRecord::Update {
-                        txn,
-                        prev: Lsn::NULL,
-                        page: pid,
-                        slot: 0,
-                        offset: 0,
-                        before: vec![0u8; 64],
-                        after: vec![9u8; 64],
-                    };
-                    server.receive_log_records(txn, vec![rec]).unwrap();
+                    ship_update(&server, txn, pid, &[0u8; 64], &[9u8; 64]).unwrap();
                     if flavor == RecoveryFlavor::EsmAries {
                         server.receive_dirty_page(txn, pid, page).unwrap();
                     }
@@ -2220,17 +2132,13 @@ mod tests {
         let pid = pids[0];
         let txn = server.begin();
         server.lock_page(txn, pid, LockMode::X).unwrap();
-        let rec = |i: u8| LogRecord::Update {
-            txn,
-            prev: Lsn::NULL,
-            page: pid,
-            slot: 0,
-            offset: 0,
-            before: vec![0u8; 64],
-            after: vec![i; 64],
-        };
-        let rec_len = rec(0).encoded_len() as u64;
-        server.receive_log_records(txn, (0..100).map(|i| rec(i as u8)).collect()).unwrap();
+        let mut enc = Vec::new();
+        let mut w = RecordWriter::new(&mut enc);
+        let rec_len = w.update(txn, Lsn::NULL, pid, 0, 0, &[0u8; 64], &[0u8; 64]) as u64;
+        for i in 1..100u8 {
+            w.update(txn, Lsn::NULL, pid, 0, 0, &[0u8; 64], &[i; 64]);
+        }
+        server.receive_log_bytes(txn, &enc).unwrap();
         // Checkpoint: forces the records durable and records the loser in
         // the checkpoint's active-transaction table.
         server.checkpoint().unwrap();
@@ -2268,27 +2176,10 @@ mod tests {
             match flavor {
                 RecoveryFlavor::Wpl => server.receive_dirty_page(txn, pid, page).unwrap(),
                 RecoveryFlavor::RedoLogical => {
-                    let rec = LogRecord::UpdateLogical {
-                        txn,
-                        prev: Lsn::NULL,
-                        page: pid,
-                        slot: 0,
-                        offset: 0,
-                        after: vec![5u8; 64],
-                    };
-                    server.receive_log_records(txn, vec![rec]).unwrap();
+                    ship_logical(&server, txn, pid, &[5u8; 64]).unwrap();
                 }
                 _ => {
-                    let rec = LogRecord::Update {
-                        txn,
-                        prev: Lsn::NULL,
-                        page: pid,
-                        slot: 0,
-                        offset: 0,
-                        before: vec![0u8; 64],
-                        after: vec![5u8; 64],
-                    };
-                    server.receive_log_records(txn, vec![rec]).unwrap();
+                    ship_update(&server, txn, pid, &[0u8; 64], &[5u8; 64]).unwrap();
                     if flavor == RecoveryFlavor::EsmAries {
                         server.receive_dirty_page(txn, pid, page).unwrap();
                     }
@@ -2320,16 +2211,7 @@ mod tests {
         assert!(server.receive_dirty_page(txn, pids[0], Page::new()).is_err());
         let (server, pids) = loaded_server(RecoveryFlavor::Wpl);
         let txn = server.begin();
-        let rec = LogRecord::Update {
-            txn,
-            prev: Lsn::NULL,
-            page: pids[0],
-            slot: 0,
-            offset: 0,
-            before: vec![0],
-            after: vec![1],
-        };
-        assert!(server.receive_log_records(txn, vec![rec]).is_err());
+        assert!(ship_update(&server, txn, pids[0], &[0], &[1]).is_err());
     }
 
     #[test]
@@ -2340,27 +2222,10 @@ mod tests {
         // No-steal: the server never accepts uncommitted frames.
         assert!(server.receive_dirty_page(txn, pids[0], Page::new()).is_err());
         // Logical flavor: before/after-image records are a protocol error.
-        let rec = LogRecord::Update {
-            txn,
-            prev: Lsn::NULL,
-            page: pids[0],
-            slot: 0,
-            offset: 0,
-            before: vec![0],
-            after: vec![1],
-        };
-        assert!(server.receive_log_records(txn, vec![rec]).is_err());
+        assert!(ship_update(&server, txn, pids[0], &[0], &[1]).is_err());
         // The logical form is accepted, and is applied only at commit:
         // until then the server's copy of the page still shows old bytes.
-        let rec = LogRecord::UpdateLogical {
-            txn,
-            prev: Lsn::NULL,
-            page: pids[0],
-            slot: 0,
-            offset: 0,
-            after: vec![4u8; 64],
-        };
-        server.receive_log_records(txn, vec![rec]).unwrap();
+        ship_logical(&server, txn, pids[0], &[4u8; 64]).unwrap();
         let page = server.read_page_for_test(pids[0]).unwrap();
         assert_eq!(page.object(pids[0], 0).unwrap(), &[0u8; 64][..], "deferred until commit");
         // But the writing transaction sees its own pending ops overlaid.
@@ -2369,6 +2234,69 @@ mod tests {
         server.commit(txn).unwrap();
         let page = server.read_page_for_test(pids[0]).unwrap();
         assert_eq!(page.object(pids[0], 0).unwrap(), &[4u8; 64][..]);
+    }
+
+    /// A shipped batch is checked whole before any of it is appended: a
+    /// frame whose bytes no longer match its checksum is `LogCorrupt`, a
+    /// record kind only the server writes (here a commit) is a protocol
+    /// error, and either way the log tail and the transaction are as they
+    /// were.
+    #[test]
+    fn shipped_frames_are_verified_and_screened_before_any_append() {
+        let (server, pids) = loaded_server(RecoveryFlavor::EsmAries);
+        let txn = server.begin();
+        server.lock_page(txn, pids[0], LockMode::X).unwrap();
+        let tail = server.log.wal().tail_lsn();
+        let good = |enc: &mut Vec<u8>| {
+            RecordWriter::new(enc).update(txn, Lsn::NULL, pids[0], 0, 0, &[0; 8], &[7; 8])
+        };
+
+        let mut enc = Vec::new();
+        let n = good(&mut enc);
+        good(&mut enc);
+        enc[n + 25 + 12 + 8] ^= 0x40; // first after-image byte of the second frame
+        assert!(matches!(server.receive_log_bytes(txn, &enc), Err(QsError::LogCorrupt { .. })));
+
+        let mut enc = Vec::new();
+        good(&mut enc);
+        RecordWriter::new(&mut enc).commit(txn, Lsn::NULL);
+        assert!(matches!(server.receive_log_bytes(txn, &enc), Err(QsError::Protocol { .. })));
+
+        let mut enc = Vec::new();
+        RecordWriter::new(&mut enc).page_alloc(txn, Lsn::NULL, pids[1]);
+        assert!(matches!(server.receive_log_bytes(txn, &enc), Err(QsError::Protocol { .. })));
+
+        assert_eq!(server.log.wal().tail_lsn(), tail, "nothing of a refused batch is appended");
+        assert_eq!(server.active_txns(), 1);
+        let mut enc = Vec::new();
+        good(&mut enc);
+        server.receive_log_bytes(txn, &enc).unwrap();
+        server.commit(txn).unwrap();
+    }
+
+    /// An adaptive transaction that elected a logical scheme defers its
+    /// apply to commit and is never undone, so a physical update from it
+    /// is refused — whether the scheme mark came in an earlier batch or
+    /// earlier in the same one. (Accepted, it was logged, never applied
+    /// at commit, and then redone by restart.)
+    #[test]
+    fn logically_elected_adaptive_txn_refuses_physical_updates() {
+        let (server, pids) = loaded_server(RecoveryFlavor::Adaptive);
+        for same_batch in [true, false] {
+            let txn = server.begin();
+            server.lock_page(txn, pids[0], LockMode::X).unwrap();
+            let mut enc = Vec::new();
+            RecordWriter::new(&mut enc).scheme_mark(txn, Lsn::NULL, SchemeCode::Rlog);
+            if !same_batch {
+                server.receive_log_bytes(txn, &enc).unwrap();
+                enc.clear();
+            }
+            let tail = server.log.wal().tail_lsn();
+            RecordWriter::new(&mut enc).update(txn, Lsn::NULL, pids[0], 0, 0, &[0; 4], &[9; 4]);
+            assert!(matches!(server.receive_log_bytes(txn, &enc), Err(QsError::Protocol { .. })));
+            assert_eq!(server.log.wal().tail_lsn(), tail, "same_batch={same_batch}");
+            server.abort(txn).unwrap();
+        }
     }
 
     #[test]
@@ -2432,16 +2360,14 @@ mod tests {
             let txn = server.begin();
             let pid = pids[(round % 2) as usize];
             server.lock_page(txn, pid, LockMode::X).unwrap();
-            let rec = LogRecord::Update {
+            ship_update(
+                &server,
                 txn,
-                prev: Lsn::NULL,
-                page: pid,
-                slot: 0,
-                offset: 0,
-                before: vec![(round % 251) as u8; 1024],
-                after: vec![((round + 1) % 251) as u8; 1024],
-            };
-            server.receive_log_records(txn, vec![rec]).unwrap();
+                pid,
+                &[(round % 251) as u8; 1024],
+                &[((round + 1) % 251) as u8; 1024],
+            )
+            .unwrap();
             let page = updated_page(&server, txn, pid, ((round + 1) % 251) as u8);
             server.receive_dirty_page(txn, pid, page).unwrap();
             server.commit(txn).unwrap();
@@ -2457,9 +2383,9 @@ mod tests {
         let mut page = Page::new();
         page.insert(pid, b"fresh object").unwrap();
         // New pages are whole-page logged by ESM (§3.6).
-        let rec =
-            LogRecord::WholePage { txn, prev: Lsn::NULL, page: pid, image: page.bytes().to_vec() };
-        server.receive_log_records(txn, vec![rec]).unwrap();
+        let mut enc = Vec::new();
+        RecordWriter::new(&mut enc).whole_page(txn, Lsn::NULL, pid, page.bytes());
+        server.receive_log_bytes(txn, &enc).unwrap();
         server.receive_dirty_page(txn, pid, page).unwrap();
         server.commit(txn).unwrap();
         let cfg = server.config().clone();

@@ -214,6 +214,32 @@ impl Page {
         Ok(())
     }
 
+    /// Copy `data` into the object at byte `offset` — how every logged
+    /// image (redo after-image, undo before-image) reaches an object. A
+    /// range that runs past the object's end is an error, never a panic:
+    /// the range comes from a log record.
+    pub fn write_range(
+        &mut self,
+        page_id: PageId,
+        slot: u16,
+        offset: u16,
+        data: &[u8],
+    ) -> QsResult<()> {
+        let obj = self.object_mut(page_id, slot)?;
+        let (start, end) = (offset as usize, offset as usize + data.len());
+        let Some(dst) = obj.get_mut(start..end) else {
+            return Err(QsError::Protocol {
+                detail: format!(
+                    "image range [{start}, {end}) past the end of object {:?} ({} bytes)",
+                    qs_types::Oid::new(page_id, slot),
+                    obj.len()
+                ),
+            });
+        };
+        dst.copy_from_slice(data);
+        Ok(())
+    }
+
     /// Free a slot. Space is not reclaimed until [`Page::compact`].
     pub fn free(&mut self, page_id: PageId, slot: u16) -> QsResult<()> {
         if self.slot_entry(slot).is_none() {
@@ -297,6 +323,20 @@ mod tests {
         assert_eq!(p.object(PID, s).unwrap(), &[9u8; 8]);
         // Length mismatch is rejected.
         assert!(p.write(PID, s, &[1u8; 4]).is_err());
+    }
+
+    #[test]
+    fn range_write_is_checked_against_the_object() {
+        let mut p = Page::new();
+        let s = p.insert(PID, &[0u8; 16]).unwrap();
+        let next = p.insert(PID, &[5u8; 16]).unwrap();
+        p.write_range(PID, s, 12, &[9u8; 4]).unwrap();
+        assert_eq!(&p.object(PID, s).unwrap()[12..], &[9u8; 4]);
+        // Past the object's end: an error, and no byte of the neighbour moves.
+        assert!(matches!(p.write_range(PID, s, 12, &[1u8; 8]), Err(QsError::Protocol { .. })));
+        assert!(p.write_range(PID, s, u16::MAX, &[1u8]).is_err());
+        assert!(p.write_range(PID, 9, 0, &[1u8]).is_err());
+        assert_eq!(p.object(PID, next).unwrap(), &[5u8; 16]);
     }
 
     #[test]

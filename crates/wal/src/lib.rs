@@ -4,7 +4,8 @@
 //!
 //! * [`record`] — the log-record vocabulary (redo/undo updates, whole-page
 //!   images, commit/abort, CLRs, checkpoints) and a hand-rolled binary
-//!   codec. Every record's encoded size is exactly
+//!   codec whose one encoder is [`writer`]'s [`RecordWriter`]. Every
+//!   record's encoded size is exactly
 //!   `LOG_HEADER_SIZE + variable payload`, so log-volume arithmetic in the
 //!   experiments matches the paper's "50-byte header + before/after images"
 //!   accounting byte-for-byte (§3.2.2's 116-vs-74-byte example holds).

@@ -13,6 +13,7 @@
 //! the recoverable log ends.
 
 use crate::record::LogRecord;
+use crate::RecordWriter;
 use qs_storage::StableMedia;
 use qs_trace::{TraceCat, Tracer};
 use qs_types::sync::Mutex;
@@ -214,38 +215,40 @@ impl LogManager {
         Ok(())
     }
 
-    /// Append a record to the volatile tail. Returns its LSN.
+    /// Append a record to the volatile tail, encoding it straight into
+    /// the tail buffer. Returns its LSN.
     pub fn append(&self, rec: &LogRecord) -> QsResult<Lsn> {
-        let enc = rec.encode();
-        let mut st = self.state.lock();
-        let used = (st.tail.0 - st.start.0) as usize;
-        if used + enc.len() > self.body_capacity {
-            return Err(QsError::LogFull { capacity: self.body_capacity, need: enc.len() });
-        }
-        let lsn = st.tail;
-        st.buffer.extend_from_slice(&enc);
-        st.tail = st.tail.advance(enc.len());
-        drop(st);
-        self.tracer.event(TraceCat::WalAppend, "append", lsn.0, enc.len() as u64);
-        Ok(lsn)
+        self.append_with(|buf| RecordWriter::new(buf).record(rec))
     }
 
     /// Append one already-encoded record, rewriting its `prev` LSN in
     /// place (clients ship records with `prev = NULL`; the server chains
     /// them here without re-encoding). Returns the record's LSN.
     pub fn append_rechained(&self, rec: &[u8], prev: Lsn) -> QsResult<Lsn> {
+        self.append_with(|buf| {
+            let at = buf.len();
+            buf.extend_from_slice(rec);
+            crate::record::frame_set_prev(&mut buf[at..], prev);
+            rec.len()
+        })
+    }
+
+    /// The one append routine: `write` puts one frame on the end of the
+    /// tail buffer and returns its length. A frame the log has no room for
+    /// is taken back off and reported as `LogFull`.
+    fn append_with(&self, write: impl FnOnce(&mut Vec<u8>) -> usize) -> QsResult<Lsn> {
         let mut st = self.state.lock();
+        let at = st.buffer.len();
+        let len = write(&mut st.buffer);
         let used = (st.tail.0 - st.start.0) as usize;
-        if used + rec.len() > self.body_capacity {
-            return Err(QsError::LogFull { capacity: self.body_capacity, need: rec.len() });
+        if used + len > self.body_capacity {
+            st.buffer.truncate(at);
+            return Err(QsError::LogFull { capacity: self.body_capacity, need: len });
         }
         let lsn = st.tail;
-        let at = st.buffer.len();
-        st.buffer.extend_from_slice(rec);
-        crate::record::frame_set_prev(&mut st.buffer[at..at + rec.len()], prev);
-        st.tail = st.tail.advance(rec.len());
+        st.tail = st.tail.advance(len);
         drop(st);
-        self.tracer.event(TraceCat::WalAppend, "append", lsn.0, rec.len() as u64);
+        self.tracer.event(TraceCat::WalAppend, "append", lsn.0, len as u64);
         Ok(lsn)
     }
 
@@ -528,7 +531,7 @@ mod tests {
     fn append_rechained_equals_append_with_prev_set() {
         let (_m, a) = fresh(1 << 16);
         let (_m2, b) = fresh(1 << 16);
-        // Path A: encode with prev=NULL (as a client would), rechain on append.
+        // Path A: encode with prev=NULL (as a client would), patch prev on append.
         let client_bytes = update(1, 10, 7).encode();
         let la = a.append_rechained(&client_bytes, Lsn(123)).unwrap();
         // Path B: the old route — build the record with prev already set.
@@ -597,7 +600,7 @@ mod tests {
         // Body barely bigger than two records; write/truncate repeatedly to
         // force physical wrap-around.
         let rec = update(1, 1, 9);
-        let rl = rec.encoded_len();
+        let rl = rec.encode().len();
         let (_m, lm) = fresh(rl * 2 + 10);
         let mut lsns = Vec::new();
         for i in 0..10 {
@@ -618,16 +621,20 @@ mod tests {
     #[test]
     fn log_full_when_not_truncated() {
         let rec = commit(1);
-        let rl = rec.encoded_len();
+        let rl = rec.encode().len();
         let (_m, lm) = fresh(rl * 3);
         lm.append(&rec).unwrap();
         let l1 = lm.append(&rec).unwrap();
         lm.append(&rec).unwrap();
+        let tail = lm.tail_lsn();
         assert!(matches!(lm.append(&rec), Err(QsError::LogFull { .. })));
+        // The refused frame was taken back off the tail buffer.
+        assert_eq!(lm.tail_lsn(), tail);
         // Freeing one record's space lets the append succeed.
         lm.force(lm.tail_lsn()).unwrap();
         lm.truncate_to(l1).unwrap();
-        lm.append(&rec).unwrap();
+        let l3 = lm.append(&rec).unwrap();
+        assert_eq!(lm.read_record(l3).unwrap().0, rec);
     }
 
     #[test]

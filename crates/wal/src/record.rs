@@ -17,8 +17,15 @@
 //! * The record is padded so `len == LOG_HEADER_SIZE + variable payload`,
 //!   making our log-space accounting identical to the paper's
 //!   "≈50-byte header + images" model.
+//!
+//! [`RecordWriter`] is the one encoder: it alone writes the length,
+//! checksum, header and trailer ([`LogRecord::encode`] dispatches into
+//! it). [`frame_set_prev`] re-checksums a frame after patching `prev`;
+//! [`frame_verify`] and [`LogRecord::decode`] only read.
 
-use qs_types::{Lsn, PageId, QsError, QsResult, TxnId, LOG_HEADER_SIZE, PAGE_SIZE};
+use qs_types::{Lsn, PageId, QsError, QsResult, TxnId, PAGE_SIZE};
+
+use crate::RecordWriter;
 
 /// Fixed bytes before the body: len(4) + cksum(4) + tag(1) + txn(8) + prev(8).
 pub(crate) const PREFIX: usize = 25;
@@ -223,9 +230,9 @@ pub enum LogRecord {
         after: Vec<u8>,
         undo_next: Lsn,
     },
-    /// Sharp checkpoint (legacy single-record form; the quiesced default
-    /// path still writes these so existing logs and figures are
-    /// unchanged).
+    /// Sharp checkpoint: one record holding the table snapshot, written
+    /// by the quiesced checkpoint the server takes when the background
+    /// flusher is off (the default).
     Checkpoint { body: CheckpointBody },
     /// First half of a two-phase fuzzy checkpoint: the table snapshot
     /// taken while foreground traffic keeps running. Restart anchors
@@ -313,116 +320,10 @@ impl LogRecord {
         }
     }
 
-    fn body_bytes(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        match self {
-            LogRecord::Update { page, slot, offset, before, after, .. } => {
-                b.extend_from_slice(&page.0.to_le_bytes());
-                b.extend_from_slice(&slot.to_le_bytes());
-                b.extend_from_slice(&offset.to_le_bytes());
-                b.extend_from_slice(&(before.len() as u16).to_le_bytes());
-                b.extend_from_slice(&(after.len() as u16).to_le_bytes());
-                b.extend_from_slice(before);
-                b.extend_from_slice(after);
-            }
-            LogRecord::WholePage { page, image, .. } => {
-                b.extend_from_slice(&page.0.to_le_bytes());
-                b.extend_from_slice(image);
-            }
-            LogRecord::PageAlloc { page, .. } => {
-                b.extend_from_slice(&page.0.to_le_bytes());
-            }
-            LogRecord::Commit { .. } | LogRecord::Abort { .. } => {}
-            LogRecord::Clr { page, slot, offset, after, undo_next, .. } => {
-                b.extend_from_slice(&page.0.to_le_bytes());
-                b.extend_from_slice(&slot.to_le_bytes());
-                b.extend_from_slice(&offset.to_le_bytes());
-                b.extend_from_slice(&(after.len() as u16).to_le_bytes());
-                b.extend_from_slice(after);
-                b.extend_from_slice(&undo_next.0.to_le_bytes());
-            }
-            LogRecord::Checkpoint { body } | LogRecord::BeginCheckpoint { body } => {
-                encode_checkpoint_body(body, &mut b);
-            }
-            LogRecord::EndCheckpoint { begin } => {
-                b.extend_from_slice(&begin.0.to_le_bytes());
-            }
-            LogRecord::UpdateLogical { page, slot, offset, after, .. } => {
-                b.extend_from_slice(&page.0.to_le_bytes());
-                b.extend_from_slice(&slot.to_le_bytes());
-                b.extend_from_slice(&offset.to_le_bytes());
-                b.extend_from_slice(&(after.len() as u16).to_le_bytes());
-                b.extend_from_slice(after);
-            }
-            LogRecord::TxnScheme { scheme, .. } => {
-                b.push(*scheme as u8);
-            }
-        }
-        b
-    }
-
-    /// Body length in bytes, computed arithmetically — must agree with
-    /// `body_bytes().len()` for every variant (asserted by tests). Keeping
-    /// this allocation-free matters: the commit path calls
-    /// [`LogRecord::encoded_len`] per record per page.
-    fn body_len(&self) -> usize {
-        match self {
-            LogRecord::Update { before, after, .. } => 12 + before.len() + after.len(),
-            LogRecord::WholePage { .. } => 4 + PAGE_SIZE,
-            LogRecord::PageAlloc { .. } => 4,
-            LogRecord::Commit { .. } | LogRecord::Abort { .. } => 0,
-            LogRecord::Clr { after, .. } => 18 + after.len(),
-            LogRecord::Checkpoint { body } | LogRecord::BeginCheckpoint { body } => {
-                4 + 16 * body.active_txns.len()
-                    + 4
-                    + 12 * body.dirty_pages.len()
-                    + 4
-                    + 21 * body.wpl_entries.len()
-                    + 8
-            }
-            LogRecord::EndCheckpoint { .. } => 8,
-            LogRecord::UpdateLogical { after, .. } => 10 + after.len(),
-            LogRecord::TxnScheme { .. } => 1,
-        }
-    }
-
-    /// The record's "variable payload" for the paper's accounting model:
-    /// before/after images for updates, the full page for whole-page
-    /// records, the table entries for checkpoints.
-    fn variable_payload(&self) -> usize {
-        match self {
-            LogRecord::Update { before, after, .. } => before.len() + after.len(),
-            LogRecord::WholePage { .. } => PAGE_SIZE,
-            LogRecord::Clr { after, .. } => after.len() + 8,
-            LogRecord::Checkpoint { .. }
-            | LogRecord::BeginCheckpoint { .. }
-            | LogRecord::EndCheckpoint { .. } => self.body_len(),
-            LogRecord::UpdateLogical { after, .. } => after.len(),
-            _ => 0,
-        }
-    }
-
-    /// Encoded size: exactly `LOG_HEADER_SIZE + variable payload` (§3.2.2's
-    /// model), never smaller than the wire fields require. Pure arithmetic
-    /// — no temporary encode, no allocation.
-    pub fn encoded_len(&self) -> usize {
-        let wire = PREFIX + self.body_len() + TRAILER;
-        wire.max(LOG_HEADER_SIZE + self.variable_payload())
-    }
-
-    /// Encode to bytes.
+    /// Encode to bytes through [`RecordWriter`], the log's one encoder.
     pub fn encode(&self) -> Vec<u8> {
-        let body = self.body_bytes();
-        let total = (PREFIX + body.len() + TRAILER).max(LOG_HEADER_SIZE + self.variable_payload());
-        let mut out = vec![0u8; total];
-        out[0..4].copy_from_slice(&(total as u32).to_le_bytes());
-        out[8] = self.tag();
-        out[9..17].copy_from_slice(&self.txn().0.to_le_bytes());
-        out[17..25].copy_from_slice(&self.prev().0.to_le_bytes());
-        out[PREFIX..PREFIX + body.len()].copy_from_slice(&body);
-        out[total - 4..].copy_from_slice(&(total as u32).to_le_bytes());
-        let ck = frame_checksum(&out[8..total - 4]);
-        out[4..8].copy_from_slice(&ck.to_le_bytes());
+        let mut out = Vec::new();
+        RecordWriter::new(&mut out).record(self);
         out
     }
 
@@ -499,29 +400,8 @@ impl LogRecord {
     }
 }
 
-/// Checkpoint-body wire format, shared by the legacy sharp record (tag 7)
-/// and the fuzzy begin record (tag 9): both carry identical snapshots.
-fn encode_checkpoint_body(body: &CheckpointBody, b: &mut Vec<u8>) {
-    b.extend_from_slice(&(body.active_txns.len() as u32).to_le_bytes());
-    for (t, l) in &body.active_txns {
-        b.extend_from_slice(&t.0.to_le_bytes());
-        b.extend_from_slice(&l.0.to_le_bytes());
-    }
-    b.extend_from_slice(&(body.dirty_pages.len() as u32).to_le_bytes());
-    for (p, l) in &body.dirty_pages {
-        b.extend_from_slice(&p.0.to_le_bytes());
-        b.extend_from_slice(&l.0.to_le_bytes());
-    }
-    b.extend_from_slice(&(body.wpl_entries.len() as u32).to_le_bytes());
-    for e in &body.wpl_entries {
-        b.extend_from_slice(&e.page.0.to_le_bytes());
-        b.extend_from_slice(&e.lsn.0.to_le_bytes());
-        b.extend_from_slice(&e.txn.0.to_le_bytes());
-        b.push(e.committed as u8);
-    }
-    b.extend_from_slice(&body.allocated_pages.to_le_bytes());
-}
-
+/// Checkpoint-body wire format, shared by the sharp record (tag 7) and
+/// the fuzzy begin record (tag 9): both carry identical snapshots.
 fn decode_checkpoint_body(r: &mut Reader<'_>) -> QsResult<CheckpointBody> {
     let mut body = CheckpointBody::default();
     let na = r.u32()? as usize;
@@ -601,11 +481,6 @@ pub fn frame_txn(bytes: &[u8]) -> TxnId {
 /// Record tag of the encoded record starting at `bytes[0]`.
 pub fn frame_tag(bytes: &[u8]) -> u8 {
     bytes[8]
-}
-
-/// The `prev` LSN of the encoded record starting at `bytes[0]`.
-pub fn frame_prev(bytes: &[u8]) -> Lsn {
-    Lsn(u64::from_le_bytes(bytes[PREV_RANGE].try_into().unwrap()))
 }
 
 /// The page an encoded record touches, if any (tags with a leading page
@@ -731,10 +606,10 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qs_types::LOG_HEADER_SIZE;
 
     fn round_trip(r: &LogRecord) {
         let enc = r.encode();
-        assert_eq!(enc.len(), r.encoded_len());
         let dec = LogRecord::decode(&enc).unwrap();
         assert_eq!(&dec, r);
     }
@@ -752,7 +627,7 @@ mod tests {
         };
         round_trip(&r);
         // Paper §3.2.2: one word updated → 50 + 4 + 4 = 58 bytes.
-        assert_eq!(r.encoded_len(), LOG_HEADER_SIZE + 8);
+        assert_eq!(r.encode().len(), LOG_HEADER_SIZE + 8);
     }
 
     #[test]
@@ -839,7 +714,7 @@ mod tests {
         round_trip(&r);
         // Half the image bytes of the equivalent physical update: the
         // before image is gone, only the header + after remain.
-        assert_eq!(r.encoded_len(), LOG_HEADER_SIZE + 4);
+        assert_eq!(r.encode().len(), LOG_HEADER_SIZE + 4);
     }
 
     #[test]
@@ -851,7 +726,7 @@ mod tests {
             image: (0..PAGE_SIZE).map(|i| (i % 251) as u8).collect(),
         };
         round_trip(&r);
-        assert_eq!(r.encoded_len(), LOG_HEADER_SIZE + PAGE_SIZE);
+        assert_eq!(r.encode().len(), LOG_HEADER_SIZE + PAGE_SIZE);
     }
 
     #[test]
@@ -910,11 +785,11 @@ mod tests {
         // Begin carries the same body as the legacy sharp record and
         // must cost the same log bytes.
         let LogRecord::BeginCheckpoint { body } = begin.clone() else { unreachable!() };
-        assert_eq!(begin.encoded_len(), LogRecord::Checkpoint { body }.encoded_len());
+        assert_eq!(begin.encode().len(), LogRecord::Checkpoint { body }.encode().len());
 
         let end = LogRecord::EndCheckpoint { begin: Lsn(4096) };
         round_trip(&end);
-        assert_eq!(end.encoded_len(), LOG_HEADER_SIZE + 8);
+        assert_eq!(end.encode().len(), LOG_HEADER_SIZE + 8);
         assert_eq!(end.txn(), TxnId::INVALID);
         assert_eq!(end.prev(), Lsn::NULL);
         assert_eq!(end.page(), None);
@@ -926,7 +801,7 @@ mod tests {
             let r = LogRecord::TxnScheme { txn: TxnId(12), prev: Lsn(7), scheme };
             round_trip(&r);
             // Pure control record: costs exactly one log header, like Commit.
-            assert_eq!(r.encoded_len(), LOG_HEADER_SIZE);
+            assert_eq!(r.encode().len(), LOG_HEADER_SIZE);
             let enc = r.encode();
             assert_eq!(frame_scheme(&enc), Some(scheme));
             assert_eq!(frame_page(&enc), None);
@@ -937,9 +812,7 @@ mod tests {
             LogRecord::TxnScheme { txn: TxnId(1), prev: Lsn::NULL, scheme: SchemeCode::Pd }
                 .encode();
         enc[PREFIX] = 9;
-        let total = enc.len();
-        let ck = frame_checksum(&enc[8..total - 4]);
-        enc[4..8].copy_from_slice(&ck.to_le_bytes());
+        frame_set_prev(&mut enc, Lsn::NULL); // re-checksum the edited frame
         assert!(LogRecord::decode(&enc).unwrap_err().to_string().contains("unknown scheme"));
         assert_eq!(frame_scheme(&enc), None);
         assert_eq!(SchemeCode::from_u8(9), None);
@@ -1049,9 +922,7 @@ mod tests {
         let mut enc = r.encode();
         enc[8] = 200;
         // Fix the checksum so only the tag is wrong.
-        let total = enc.len();
-        let ck = frame_checksum(&enc[8..total - 4]);
-        enc[4..8].copy_from_slice(&ck.to_le_bytes());
+        frame_set_prev(&mut enc, Lsn(44));
         let err = LogRecord::decode(&enc).unwrap_err();
         assert!(err.to_string().contains("unknown record tag"));
     }
@@ -1145,17 +1016,6 @@ mod tests {
     }
 
     #[test]
-    fn encoded_len_is_pure_arithmetic_for_every_variant() {
-        // encoded_len must never encode; it and encode() are maintained
-        // in parallel, so pin their agreement across all variants
-        // (including the per-record tracer call site in store.rs).
-        for r in every_variant() {
-            assert_eq!(r.encoded_len(), r.encode().len(), "{r:?}");
-            assert_eq!(r.body_len(), r.body_bytes().len(), "{r:?}");
-        }
-    }
-
-    #[test]
     fn frame_helpers_agree_with_decode() {
         for r in every_variant() {
             let enc = r.encode();
@@ -1196,7 +1056,8 @@ mod tests {
         }
     }
 
-    /// Rebuild `r` with `prev` replaced (mirror of the server's rechain).
+    /// Rebuild `r` with `prev` replaced (what the server's in-place patch
+    /// of a shipped frame must amount to).
     #[allow(non_snake_case)]
     fn Self_with_prev(r: &LogRecord, prev: Lsn) -> LogRecord {
         match r.clone() {

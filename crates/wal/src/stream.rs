@@ -356,7 +356,7 @@ mod tests {
             for (lsn, rec) in expect.iter().rev() {
                 let (got, next) = cache.read_record(&lm, *lsn).unwrap();
                 assert_eq!(&got, rec);
-                assert_eq!(next, lsn.advance(got.encoded_len()));
+                assert_eq!(next, lsn.advance(got.encode().len()));
             }
         }
         // Every log page holding records was fetched exactly once.

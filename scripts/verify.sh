@@ -153,4 +153,24 @@ cargo run --release --offline -p qs-bench --bin adaptive_bench -- \
     --validate "$adaptive_dir/BENCH_adaptive.json"
 rm -rf "$adaptive_dir"
 
+echo "== repository benchmark: build and smoke run =="
+# qsbench is a workspace of its own (path dependency on the facade), so the
+# workspace build above never compiles it; a facade change that breaks the
+# benchmark shows up here. Each workload runs once for one second; a run
+# whose own correctness check fails exits non-zero and fails the step.
+cargo build --release --offline --manifest-path qsbench/Cargo.toml
+for w in oo7-mix crash-restart commit-2c; do
+    if ! out=$(timeout 300 cargo run --release --offline --quiet \
+            --manifest-path qsbench/Cargo.toml -- \
+            --workload "$w" --seed 1 --seconds 1 --trace 0); then
+        echo "FAIL: qsbench --workload $w failed its correctness check or timed out"
+        exit 1
+    fi
+    if ! echo "$out" | tail -n 1 | grep -q '"correct":true'; then
+        echo "FAIL: qsbench --workload $w did not report correct:true"
+        echo "$out" | tail -n 1
+        exit 1
+    fi
+done
+
 echo "== verify: all green =="

@@ -8,7 +8,7 @@ use qs_repro::esm::{ClientConn, RecoveryFlavor, Server, ServerConfig};
 use qs_repro::sim::Meter;
 use qs_repro::storage::{MemDisk, Page, StableMedia};
 use qs_repro::types::{ClientId, Lsn, Oid};
-use qs_repro::wal::LogRecord;
+use qs_repro::wal::RecordWriter;
 use std::sync::Arc;
 
 /// Byte image of a stable medium.
@@ -80,37 +80,26 @@ pub fn crashed_images(cfg: &SystemConfig, scfg: ServerConfig) -> (Vec<u8>, Vec<u
         RecoveryFlavor::RedoLogical => {
             // RLOG losers ship logical (after-only) records; restart must
             // drop them in analysis rather than undo them.
-            let recs: Vec<LogRecord> = pids[6..9]
-                .iter()
-                .flat_map(|&pid| {
-                    (0..10u8).map(move |i| LogRecord::UpdateLogical {
-                        txn: loser,
-                        prev: Lsn::NULL,
-                        page: pid,
-                        slot: (i % 4) as u16,
-                        offset: (i as u16 % 3) * 20,
-                        after: vec![0xE0 + i; 20],
-                    })
-                })
-                .collect();
-            server.receive_log_records(loser, recs).unwrap();
+            let mut enc = Vec::new();
+            let mut w = RecordWriter::new(&mut enc);
+            for &pid in &pids[6..9] {
+                for i in 0..10u8 {
+                    let (slot, offset) = ((i % 4) as u16, (i as u16 % 3) * 20);
+                    w.update_logical(loser, Lsn::NULL, pid, slot, offset, &[0xE0 + i; 20]);
+                }
+            }
+            server.receive_log_bytes(loser, &enc).unwrap();
         }
         _ => {
-            let recs: Vec<LogRecord> = pids[6..9]
-                .iter()
-                .flat_map(|&pid| {
-                    (0..10u8).map(move |i| LogRecord::Update {
-                        txn: loser,
-                        prev: Lsn::NULL,
-                        page: pid,
-                        slot: (i % 4) as u16,
-                        offset: (i as u16 % 3) * 20,
-                        before: vec![0u8; 20],
-                        after: vec![0xE0 + i; 20],
-                    })
-                })
-                .collect();
-            server.receive_log_records(loser, recs).unwrap();
+            let mut enc = Vec::new();
+            let mut w = RecordWriter::new(&mut enc);
+            for &pid in &pids[6..9] {
+                for i in 0..10u8 {
+                    let (slot, offset) = ((i % 4) as u16, (i as u16 % 3) * 20);
+                    w.update(loser, Lsn::NULL, pid, slot, offset, &[0u8; 20], &[0xE0 + i; 20]);
+                }
+            }
+            server.receive_log_bytes(loser, &enc).unwrap();
         }
     }
     // Checkpoint: forces the loser's records durable and seeds the

@@ -7,7 +7,7 @@ use qs_repro::esm::{LockMode, RecoveryFlavor, Server, ServerConfig, StableParts}
 use qs_repro::sim::Meter;
 use qs_repro::storage::{MemDisk, Page, Volume};
 use qs_repro::types::{Lsn, QsResult};
-use qs_repro::wal::{LogManager, LogRecord};
+use qs_repro::wal::{LogManager, RecordWriter};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -49,16 +49,9 @@ fn commit_one(
     match flavor {
         RecoveryFlavor::Wpl => server.receive_dirty_page(txn, pid, page)?,
         _ => {
-            let rec = LogRecord::Update {
-                txn,
-                prev: Lsn::NULL,
-                page: pid,
-                slot: 0,
-                offset: 0,
-                before: vec![0u8; 64],
-                after: vec![val; 64],
-            };
-            server.receive_log_records(txn, vec![rec])?;
+            let mut enc = Vec::new();
+            RecordWriter::new(&mut enc).update(txn, Lsn::NULL, pid, 0, 0, &[0u8; 64], &[val; 64]);
+            server.receive_log_bytes(txn, &enc)?;
             if flavor == RecoveryFlavor::EsmAries {
                 server.receive_dirty_page(txn, pid, page)?;
             }

@@ -104,16 +104,17 @@ fn conflicting_threads_serialize_through_locks() {
                 let old = u64::from_le_bytes(obj[0..8].try_into().unwrap());
                 let newv = old + 1;
                 obj[0..8].copy_from_slice(&newv.to_le_bytes());
-                let rec = qs_repro::wal::LogRecord::Update {
+                let mut enc = Vec::new();
+                qs_repro::wal::RecordWriter::new(&mut enc).update(
                     txn,
-                    prev: qs_repro::types::Lsn::NULL,
-                    page: target.page,
-                    slot: target.slot,
-                    offset: 0,
-                    before: old.to_le_bytes().to_vec(),
-                    after: newv.to_le_bytes().to_vec(),
-                };
-                server.receive_log_records(txn, vec![rec]).unwrap();
+                    qs_repro::types::Lsn::NULL,
+                    target.page,
+                    target.slot,
+                    0,
+                    &old.to_le_bytes(),
+                    &newv.to_le_bytes(),
+                );
+                server.receive_log_bytes(txn, &enc).unwrap();
                 server.receive_dirty_page(txn, target.page, page).unwrap();
                 server.commit(txn).unwrap();
             }

@@ -12,7 +12,7 @@ use qs_repro::sim::{HardwareModel, Meter};
 use qs_repro::storage::Page;
 use qs_repro::trace::{TraceCat, Tracer};
 use qs_repro::types::{ClientId, Lsn, PageId};
-use qs_repro::wal::LogRecord;
+use qs_repro::wal::RecordWriter;
 use std::sync::{Arc, Barrier};
 
 const ROUNDS: u8 = 50;
@@ -63,19 +63,16 @@ fn contended_updates(record_locks: bool) -> (u64, Page, PageId, [u16; 2]) {
                     }
                     // A logical after-image for this client's own record
                     // (RLOG: the server defers it until commit).
-                    client
-                        .add_log_records(
-                            pid,
-                            vec![LogRecord::UpdateLogical {
-                                txn,
-                                prev: Lsn::NULL,
-                                page: pid,
-                                slot,
-                                offset: 0,
-                                after: vec![0xA0 + c as u8; 16],
-                            }],
-                        )
-                        .unwrap();
+                    let mut enc = Vec::new();
+                    RecordWriter::new(&mut enc).update_logical(
+                        txn,
+                        Lsn::NULL,
+                        pid,
+                        slot,
+                        0,
+                        &[0xA0 + c as u8; 16],
+                    );
+                    client.add_encoded_records(pid, &enc).unwrap();
                     client.finish_commit().unwrap();
                 }
                 let _ = server;

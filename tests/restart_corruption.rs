@@ -9,13 +9,17 @@ mod common;
 
 use common::{crashed_images, crashed_images_model, disk_from, image, value_at};
 use qs_repro::core::{Store, SystemConfig};
-use qs_repro::esm::{ClientConn, LockMode, RecoveryFlavor, Server, ServerConfig, StableParts};
+use qs_repro::esm::{
+    ClientConn, LockMode, Reactor, RecoveryFlavor, Request, Response, Server, ServerConfig,
+    StableParts,
+};
 use qs_repro::prng::Prng;
 use qs_repro::sim::Meter;
 use qs_repro::storage::Page;
-use qs_repro::types::{ClientId, Lsn, Oid, QsError, QsResult, PAGE_SIZE};
-use qs_repro::wal::{LogManager, LogRecord};
-use std::sync::Arc;
+use qs_repro::types::{ClientId, Lsn, Oid, QsError, QsResult, TxnId, PAGE_SIZE};
+use qs_repro::wal::{LogManager, LogRecord, RecordWriter};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Once};
 
 fn server_cfg(flavor: RecoveryFlavor) -> ServerConfig {
     ServerConfig::new(flavor).with_pool_mb(1.0).with_volume_pages(256).with_log_mb(8.0)
@@ -201,4 +205,130 @@ fn seeded_frame_flips_are_detected_or_harmless() {
         assert!(detected > 0, "{name}: no flip reached a frame restart reads");
         assert_eq!(detected + harmless, 2 * K);
     }
+}
+
+/// One page holding one object of `len` zero bytes, on a fresh server.
+fn one_object_server(scfg: ServerConfig, len: usize) -> (Arc<Server>, Oid) {
+    let server = Arc::new(Server::format(scfg, Meter::new()).unwrap());
+    let pid = server.bulk_allocate(1).unwrap()[0];
+    let mut p = Page::new();
+    let oid = Oid::new(pid, p.insert(pid, &vec![0u8; len]).unwrap());
+    server.bulk_write(pid, &p).unwrap();
+    server.bulk_sync().unwrap();
+    (server, oid)
+}
+
+/// The update frame a client ships for `oid`: bytes `offset..` go from
+/// `before` to `after`.
+fn update_frame(txn: TxnId, oid: Oid, offset: u16, before: &[u8], after: &[u8]) -> Vec<u8> {
+    let mut enc = Vec::new();
+    RecordWriter::new(&mut enc).update(txn, Lsn::NULL, oid.page, oid.slot, offset, before, after);
+    enc
+}
+
+/// A byte flipped in a shipped frame is caught when the server receives
+/// it, before the server patches the frame's `prev` and re-checksums it:
+/// shipped directly or through the reactor, the flipped frame is
+/// `LogCorrupt` and nothing of it reaches the log. The same frame unflipped
+/// commits and recovers.
+#[test]
+fn flipped_shipped_frame_is_refused_directly_and_through_the_reactor() {
+    let scfg = server_cfg(RecoveryFlavor::EsmAries);
+    let (server, oid) = one_object_server(scfg.clone(), 64);
+    let reactor = Reactor::start(&server);
+    let port = reactor.connect(ClientId(0));
+    let txn = match port.call(Request::Begin) {
+        Response::Began(t) => t,
+        other => panic!("expected Began, got {}", other.kind()),
+    };
+    server.lock_page(txn, oid.page, LockMode::X).unwrap();
+    let good = update_frame(txn, oid, 0, &[0u8; 16], &[0x07; 16]);
+    let mut bad = good.clone();
+    bad[25 + 12 + 16] ^= 0xFF; // first after-image byte: 0x07 -> 0xF8
+    let tail = server.log_used_bytes();
+
+    match server.receive_log_bytes(txn, &bad) {
+        Err(QsError::LogCorrupt { .. }) => {}
+        other => panic!("direct ship of a flipped frame: expected LogCorrupt, got {other:?}"),
+    }
+    match port.call(Request::LogBytes { txn, bytes: bad }) {
+        Response::Err(QsError::LogCorrupt { .. }) => {}
+        Response::Err(e) => panic!("reactor ship of a flipped frame: expected LogCorrupt, got {e}"),
+        other => panic!("reactor ship of a flipped frame: expected an error, got {}", other.kind()),
+    }
+    assert_eq!(server.log_used_bytes(), tail, "a refused frame reached the log");
+
+    match port.call(Request::LogBytes { txn, bytes: good }) {
+        Response::Ok => {}
+        other => panic!("expected Ok for the intact frame, got {}", other.kind()),
+    }
+    match port.call(Request::Commit { txn }) {
+        Response::Committed(_) => {}
+        other => panic!("expected Committed, got {}", other.kind()),
+    }
+    reactor.stop();
+    drop(port);
+    drop(reactor);
+    let parts = Arc::try_unwrap(server).ok().expect("sole owner").crash();
+    let (data, log) = (image(&parts.data_media), image(&parts.log_media));
+    for workers in [1, 2] {
+        let (values, active) =
+            restart(&data, &log, &[oid], scfg.clone().with_redo_workers(workers)).unwrap();
+        assert_eq!(values[0][..16], [0x07; 16], "workers={workers}");
+        assert_eq!(active, 0);
+    }
+}
+
+/// Panics seen by the hook [`count_panics`] installs, on any thread.
+static PANICS: AtomicUsize = AtomicUsize::new(0);
+
+/// Count every panic in this process from now on, then report it as the
+/// default hook would.
+fn count_panics() {
+    static ONCE: Once = Once::new();
+    ONCE.call_once(|| {
+        let report = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            PANICS.fetch_add(1, Ordering::SeqCst);
+            report(info);
+        }));
+    });
+}
+
+/// A well-formed update whose byte range runs past the end of its object
+/// (bytes 8..20 of a 16-byte object) passes ingestion under ESM, which
+/// applies nothing at the server. Copying it into the object is an error
+/// wherever it happens: restart redo (inline and on worker threads),
+/// rollback, and REDO's apply on receipt — never a panic on any thread.
+#[test]
+fn update_range_past_the_object_is_an_error_not_a_panic() {
+    count_panics();
+    let scfg = server_cfg(RecoveryFlavor::EsmAries);
+    let ship_overlong = |server: &Server, oid: Oid| {
+        let txn = server.begin();
+        server.lock_page(txn, oid.page, LockMode::X).unwrap();
+        let frame = update_frame(txn, oid, 8, &[0u8; 12], &[7u8; 12]);
+        (txn, server.receive_log_bytes(txn, &frame))
+    };
+
+    let (server, oid) = one_object_server(scfg.clone(), 16);
+    let (txn, shipped) = ship_overlong(&server, oid);
+    shipped.unwrap();
+    server.commit(txn).unwrap();
+    let parts = Arc::try_unwrap(server).ok().expect("sole owner").crash();
+    let (data, log) = (image(&parts.data_media), image(&parts.log_media));
+    for workers in [1, 2] {
+        let got = restart(&data, &log, &[oid], scfg.clone().with_redo_workers(workers));
+        assert!(got.is_err(), "workers={workers}: restart redid an overlong update");
+    }
+
+    let (server, oid) = one_object_server(scfg.clone(), 16);
+    let (txn, shipped) = ship_overlong(&server, oid);
+    shipped.unwrap();
+    assert!(server.abort(txn).is_err(), "rollback undid an overlong update");
+
+    let (server, oid) = one_object_server(server_cfg(RecoveryFlavor::RedoAtServer), 16);
+    assert!(ship_overlong(&server, oid).1.is_err(), "REDO applied an overlong update");
+
+    assert_eq!(PANICS.load(Ordering::SeqCst), 0, "a thread panicked");
 }

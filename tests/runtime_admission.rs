@@ -12,7 +12,7 @@ use qs_repro::sim::Meter;
 use qs_repro::storage::{MemDisk, Page, Volume};
 use qs_repro::trace::Tracer;
 use qs_repro::types::{ClientId, Lsn, Oid, PageId, QsError, TxnId};
-use qs_repro::wal::{LogManager, LogRecord};
+use qs_repro::wal::{LogManager, RecordWriter};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -51,16 +51,18 @@ fn make_server(
     (server, oids)
 }
 
-fn update_rec(txn: TxnId, pid: PageId, slot: u16, before: u64, after: u64) -> LogRecord {
-    LogRecord::Update {
+fn update_frame(txn: TxnId, pid: PageId, slot: u16, before: u64, after: u64) -> Vec<u8> {
+    let mut enc = Vec::new();
+    RecordWriter::new(&mut enc).update(
         txn,
-        prev: Lsn::NULL,
-        page: pid,
+        Lsn::NULL,
+        pid,
         slot,
-        offset: 0,
-        before: before.to_le_bytes().to_vec(),
-        after: after.to_le_bytes().to_vec(),
-    }
+        0,
+        &before.to_le_bytes(),
+        &after.to_le_bytes(),
+    );
+    enc
 }
 
 fn expect_began(resp: Response) -> TxnId {
@@ -112,7 +114,7 @@ fn inflight_budget_sheds_with_typed_reply() {
     let pid = oids[0].page;
     let txn_a = expect_began(a.call(Request::Begin));
     server.lock_page(txn_a, pid, LockMode::X).unwrap();
-    server.receive_log_records(txn_a, vec![update_rec(txn_a, pid, 0, 0, 7)]).unwrap();
+    server.receive_log_bytes(txn_a, &update_frame(txn_a, pid, 0, 0, 7)).unwrap();
     a.submit(Request::Commit { txn: txn_a });
 
     // The slot was taken synchronously at submit, so B's very next
@@ -213,7 +215,7 @@ fn hot_page_no_starvation_under_tiny_budget() {
                 expect_ok(port.call(Request::NoteLogged { txn, pid: target.page }));
                 expect_ok(port.call(Request::LogBytes {
                     txn,
-                    bytes: update_rec(txn, target.page, target.slot, old, newv).encode(),
+                    bytes: update_frame(txn, target.page, target.slot, old, newv),
                 }));
                 expect_ok(port.call(Request::DirtyPage { txn, pid: target.page, page }));
                 expect_committed(port.call(Request::Commit { txn }));
